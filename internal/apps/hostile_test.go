@@ -71,6 +71,19 @@ func TestHostileSpinTimesOut(t *testing.T) {
 	}
 }
 
+// TestHostileSpinBudgetExact pins where the watchdog stops hostile-spin
+// under the default budget in every mode: the 3-instruction entry block,
+// then 2-instruction self-loop iterations, with the budget checked at each
+// block boundary — the first count past the budget is DefaultBudget+1.
+func TestHostileSpinBudgetExact(t *testing.T) {
+	for _, mode := range []core.Mode{core.ModeVanilla, core.ModeTaintDroid, core.ModeNDroid, core.ModeDroidScope} {
+		r := core.AnalyzeApp(apps.HostileSpinApp().Spec(), core.AnalyzeOptions{Mode: mode})
+		if got, want := r.Final.Result.NativeInsns, uint64(core.DefaultBudget+1); got != want {
+			t.Errorf("%v: native insns = %d, want %d", mode, got, want)
+		}
+	}
+}
+
 // TestHostileWildWalksTheLadder: an arm-layer fault degrades NDroid ->
 // TaintDroid -> vanilla; the wild store faults identically at every rung, so
 // the chain records all three.

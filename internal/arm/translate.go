@@ -9,7 +9,8 @@ package arm
 // instructions, and the taint-tracer handler pre-bound per instruction at
 // translation time (see InsnBinder). Blocks end at control transfers, SVC,
 // HLT, and hooked addresses; they chain to their taken/fall-through
-// successors so hot loops never touch the cache map.
+// successors so hot loops never touch the cache map, and the one dispatch
+// loop (CPU.dispatch) runs a chain of uninstrumented blocks inline.
 //
 // Correctness against self-modifying code and reloaded library regions comes
 // from page-granular invalidation: every page holding a translation is marked
@@ -51,16 +52,19 @@ const (
 
 type stepFn func(c *CPU) stepRes
 
-// Block is one translated straight-line run of guest code. Blocks translated
-// under a tracer carry two step variants: the instrumented steps (Table V
-// handler pre-bound per instruction) and bare (no taint dispatch at all).
-// The taint-presence gate picks the variant per execution, so untainted
-// phases run at vanilla speed without retranslation on gate flips.
+// Block is one translated straight-line run of guest code. Every block
+// carries a bare variant (no taint dispatch at all); blocks translated under a
+// tracer also carry the instrumented variant (Table V handler pre-bound per
+// instruction). The taint-presence gate picks the variant per execution, so
+// untainted phases run at vanilla speed without retranslation on gate flips.
 type Block struct {
-	key   uint32 // start PC | thumb bit
+	key uint32 // start PC | thumb bit
+	// steps is the instrumented variant; nil when the block was translated
+	// without a tracer.
 	steps []stepFn
-	// bare is the uninstrumented variant of steps; nil when the block was
-	// translated without a tracer (steps is already bare then).
+	// bare is the uninstrumented variant. When the block ends in a direct
+	// B/BL (brOp != OpInvalid), bare stops before it: the dispatcher applies
+	// that branch from the br* metadata instead of calling a step closure.
 	bare []stepFn
 	// nexts[i] is the address of the instruction after step i, used to
 	// materialize PC when a write into this block forces a mid-run bail-out.
@@ -77,6 +81,13 @@ type Block struct {
 	// static taint-irrelevance pin (CPU.PinPage): dispatch takes the bare
 	// variant without consulting the liveness gate.
 	pinned bool
+
+	// The folded direct branch ending the block: its op (OpB or OpBL),
+	// condition, address, interworking target and link value, all resolved
+	// at translation.
+	brOp               Op
+	brCond             Cond
+	brFrom, brTo, brLR uint32
 
 	// succTaken/succFall cache the successor blocks (chaining). They are
 	// hints: each use re-checks key and validity.
@@ -199,13 +210,53 @@ func (c *CPU) invalidateAllBlocks() {
 // Hook/Unhook invalidate automatically.
 func (c *CPU) InvalidateBlocks() { c.invalidateAllBlocks() }
 
-// runBlocks is the block-engine execution loop behind Run/RunUntil.
-func (c *CPU) runBlocks(stop uint32, maxInsns uint64) error {
+// dispatch is the engine's one execution loop, behind Run, RunUntil and
+// RunUntilHint. Each iteration is one dispatch: an interpreter Step with the
+// block cache off (the uncached and insn-cache arms of E17), one translated
+// block with it on. Between dispatches it checks, in order: the budget
+// (InsnCount past a limit fixed at entry), halt and the stop address, and
+// the arm.dispatch injection site — behind fault.Armed, an inlined flag
+// load, so an armed run keeps the exact per-dispatch countdown while an
+// unarmed one never calls fault.Hit.
+//
+// Blocks chain: a block's taken/fall-through successor is memoized on it
+// and revalidated by key and validity, so a loop (including a block that
+// branches to itself) never touches the cache map. A block the gate runs
+// bare — or any block without a tracer — executes inline here, ending in
+// its folded direct branch; a gate-open block goes through execSteps, the
+// per-step instrumented path, unchanged.
+//
+// hint seeds the first dispatch (see RunUntilHint); the block cached for
+// the entry PC after the first dispatch is returned.
+func (c *CPU) dispatch(stop uint32, maxInsns uint64, hint *Block) (*Block, error) {
+	if maxInsns == 0 {
+		maxInsns = 256 << 20
+	}
+	limit := c.InsnCount + maxInsns
+	if limit < c.InsnCount {
+		limit = math.MaxUint64
+	}
+	if !c.UseBlockCache {
+		for !c.Halted && c.R[PC] != stop {
+			if fault.Armed() {
+				if f := fault.Hit(SiteDispatch, c.R[PC]); f != nil {
+					return nil, f
+				}
+			}
+			if err := c.Step(); err != nil {
+				return nil, err
+			}
+			if c.InsnCount > limit {
+				return nil, c.budgetFault(maxInsns)
+			}
+		}
+		return nil, nil
+	}
 	// Blocks capture tracer bindings at translation time; a replaced tracer
 	// invalidates them all (the epoch check QEMU does with tb_flush). The
-	// check runs here and after every addr-hook invocation in stepBlock —
-	// the only points where foreign code can swap the tracer — instead of
-	// paying an interface comparison on every block dispatch.
+	// check runs here and after every addr-hook invocation — the only points
+	// where foreign code can swap the tracer — instead of paying an
+	// interface comparison on every block dispatch.
 	if c.Tracer != c.boundTracer {
 		c.invalidateAllBlocks()
 		c.boundTracer = c.Tracer
@@ -214,22 +265,230 @@ func (c *CPU) runBlocks(stop uint32, maxInsns uint64) error {
 	// (tests and benchmarks seed RegTaint between runs); force the gate to
 	// re-derive liveness on the first dispatch.
 	c.gateBail = true
-	start := c.InsnCount
-	var hint *Block
+	entryKey := pcKey(c.R[PC], c.Thumb)
+	if hint != nil && (hint.key != entryKey || !hint.valid) {
+		hint = nil
+	}
+	entry, b, first := hint, hint, true
+dispatch:
 	for !c.Halted && c.R[PC] != stop {
-		if f := fault.Hit(SiteDispatch, c.R[PC]); f != nil {
-			return f
+		if fault.Armed() {
+			if f := fault.Hit(SiteDispatch, c.R[PC]); f != nil {
+				return entry, f
+			}
 		}
-		nb, err := c.stepBlock(hint)
+		// A non-nil b here is current: a validated hint, or a successor
+		// chase just resolved against this PC.
+		pc := c.R[PC]
+		if b == nil {
+			if b = c.blockCache[pcKey(pc, c.Thumb)]; b != nil && !b.valid {
+				b = nil
+			}
+		}
+		// The block is resolved before the hook check so that the common
+		// case — a block whose start carries no hook — clears checkHook with
+		// a flag test instead of an addrHooks map lookup per taken branch.
+		// The flag is trustworthy because Hook/Unhook invalidate the page.
+		hooked := false
+		if c.checkHook {
+			c.checkHook = false
+			if b == nil || b.startHooked {
+				b, hooked = c.enterHook(pc, b)
+			}
+		}
+		var err error
+		if b != nil {
+			c.BlockHits++
+		} else if !hooked {
+			if b = c.translate(pc); b != nil {
+				c.BlockMisses++
+			} else {
+				// Untranslatable first instruction: one interpreter step
+				// yields the identical error (or executes the oddball insn).
+				err = c.Step()
+			}
+		}
+		if b != nil && !c.gateBare(b) {
+			b, err = c.execSteps(b)
+		} else if b != nil {
+			// The chained bare path: run b's bare variant inline, then keep
+			// following successors for as long as each is a dispatch that
+			// would run bare too — every boundary check of the outer loop
+			// is repeated between chained blocks, and anything else (a
+			// hook, an armed site, a gate that must re-derive liveness)
+			// hands the successor back to the outer loop.
+			for {
+				// A gate-chosen bare variant also bails on gateBail, raised
+				// when the first taint tag is introduced mid-block (a write
+				// observer, a syscall model): the instruction that raised it
+				// ran against a taint-free machine, so skipping its Table V
+				// dispatch was exact, and the next dispatch resumes
+				// instrumented.
+				gated := b.steps != nil
+				steps := b.bare
+				res, i := stepNext, 0
+				for ; i < len(steps); i++ {
+					if res = steps[i](c); res != stepNext || !b.valid || gated && c.gateBail {
+						break
+					}
+				}
+				// InsnCount is settled in bulk — positionally exact (i+1
+				// instructions ran, condition-failed ones included), and
+				// nothing reads it mid-block.
+				if i < len(steps) {
+					c.InsnCount += uint64(i + 1)
+					switch res {
+					case stepNext:
+						// Bail: a store from inside this block invalidated
+						// it (self-modifying code), or gateBail. The next
+						// dispatch retranslates or re-gates from here.
+						c.R[PC] = b.nexts[i]
+						b = nil
+					case stepBranch:
+						b = c.chase(b, true)
+					case stepHalt:
+						b = nil
+					case stepErr:
+						err = c.blockErr
+						c.blockErr = nil
+						b = nil
+					}
+				} else {
+					switch {
+					case b.brOp == OpInvalid:
+						c.InsnCount += uint64(len(steps))
+						c.R[PC] = b.endPC
+						b = c.chase(b, false)
+					case b.brCond == CondAL || c.condHolds(b.brCond):
+						c.InsnCount += uint64(len(steps) + 1)
+						if b.brOp == OpBL {
+							c.R[LR] = b.brLR
+						}
+						c.SetThumbPC(b.brTo)
+						c.EmitBranch(b.brFrom, b.brTo&^1)
+						b = c.chase(b, true)
+					default:
+						c.InsnCount += uint64(len(steps) + 1)
+						c.R[PC] = b.endPC
+						b = c.chase(b, false)
+					}
+				}
+				if b == nil {
+					break
+				}
+				// A dispatch boundary, in the outer loop's order.
+				if first {
+					first, entry = false, c.entryBlock(entry, entryKey)
+				}
+				if c.InsnCount > limit {
+					return entry, c.budgetFault(maxInsns)
+				}
+				if c.Halted || c.R[PC] == stop || fault.Armed() {
+					continue dispatch
+				}
+				if c.checkHook {
+					if b.startHooked {
+						continue dispatch
+					}
+					c.checkHook = false
+				}
+				if b.steps != nil {
+					// The gate's clean fast path only; a pending edge or
+					// live taint re-derives liveness in the outer loop.
+					if !c.UseTaintGate || c.gateWasLive || c.gateBail {
+						continue dispatch
+					}
+					if b.pinned {
+						c.GatePinnedBlocks++
+					} else {
+						c.GateFastBlocks++
+					}
+				}
+				c.BlockHits++
+			}
+		}
 		if err != nil {
-			return err
+			return entry, err
 		}
-		hint = nb
-		if c.InsnCount-start > maxInsns {
-			return c.budgetFault(maxInsns)
+		if first {
+			first, entry = false, c.entryBlock(entry, entryKey)
+		}
+		if c.InsnCount > limit {
+			return entry, c.budgetFault(maxInsns)
 		}
 	}
-	return nil
+	return entry, nil
+}
+
+// entryBlock is the entry block dispatch reports after its first dispatch:
+// the hint when it was valid, else the block now cached for the entry key.
+func (c *CPU) entryBlock(hint *Block, key uint32) *Block {
+	if hint == nil {
+		if b := c.blockCache[key]; b != nil && b.valid {
+			return b
+		}
+	}
+	return hint
+}
+
+// gateBare is the taint gate at a dispatch boundary: a block translated
+// under a tracer runs bare while no taint is live, or while its pages are
+// statically pinned and no taint edge is pending; instrumented otherwise.
+// A wrong pin costs precision, never soundness: a pending edge takes the
+// full liveness check instead.
+func (c *CPU) gateBare(b *Block) bool {
+	if b.steps == nil {
+		return true
+	}
+	if !c.UseTaintGate {
+		return false
+	}
+	if b.pinned && !c.gateWasLive && !c.gateBail {
+		c.GatePinnedBlocks++
+		return true
+	}
+	live := c.taintLive()
+	if live != c.gateWasLive {
+		c.GateFlips++
+		c.gateWasLive = live
+	}
+	if live {
+		c.GateSlowBlocks++
+		return false
+	}
+	c.GateFastBlocks++
+	return true
+}
+
+// enterHook runs the address hook at pc, if any (hooks fire only when the
+// address was reached through a control transfer, as in Step). It reports
+// whether the hook took over the dispatch — performed the call itself,
+// halted the CPU, or redirected control — and otherwise returns b, or nil
+// when the hook invalidated it.
+func (c *CPU) enterHook(pc uint32, b *Block) (*Block, bool) {
+	hook, ok := c.addrHooks[pc]
+	if !ok {
+		return b, false
+	}
+	if hook(c) == ActionReturn {
+		ret := c.R[LR]
+		c.SetThumbPC(ret)
+		c.EmitBranch(pc, ret&^1)
+		return nil, true
+	}
+	if c.Halted || c.R[PC] != pc {
+		return nil, true
+	}
+	if c.Tracer != c.boundTracer {
+		// The hook swapped the tracer; stale bindings must go.
+		c.invalidateAllBlocks()
+		c.boundTracer = c.Tracer
+	}
+	if b != nil && !b.valid {
+		// The hook re-hooked or rewrote this page under us.
+		b = nil
+	}
+	return b, false
 }
 
 // RunUntilHint is RunUntil with a translated-block entry hint: the fused JNI
@@ -241,133 +500,13 @@ func (c *CPU) runBlocks(stop uint32, maxInsns uint64) error {
 // hint is re-validated against key and validity exactly like a chained
 // successor, so a wrong hint costs one lookup, never correctness.
 func (c *CPU) RunUntilHint(stop uint32, maxInsns uint64, hint *Block) (*Block, error) {
-	if !c.UseBlockCache {
-		return nil, c.RunUntil(stop, maxInsns)
-	}
-	if maxInsns == 0 {
-		maxInsns = 256 << 20
-	}
-	if c.Tracer != c.boundTracer {
-		c.invalidateAllBlocks()
-		c.boundTracer = c.Tracer
-	}
-	c.gateBail = true
-	start := c.InsnCount
-	entryKey := pcKey(c.R[PC], c.Thumb)
-	if hint != nil && (hint.key != entryKey || !hint.valid) {
-		hint = nil
-	}
-	entry, cur, first := hint, hint, true
-	for !c.Halted && c.R[PC] != stop {
-		if f := fault.Hit(SiteDispatch, c.R[PC]); f != nil {
-			return entry, f
-		}
-		nb, err := c.stepBlock(cur)
-		if err != nil {
-			return entry, err
-		}
-		if first {
-			first = false
-			if entry == nil {
-				if b := c.blockCache[entryKey]; b != nil && b.valid {
-					entry = b
-				}
-			}
-		}
-		cur = nb
-		if c.InsnCount-start > maxInsns {
-			return entry, c.budgetFault(maxInsns)
-		}
-	}
-	return entry, nil
+	return c.dispatch(stop, maxInsns, hint)
 }
 
-// stepBlock runs the hook check at the current PC (same semantics as Step:
-// hooks fire only when the address was reached through a control transfer),
-// then executes one translated block. hint, when it matches the current PC,
-// skips the cache-map lookup — the chaining fast path.
-//
-// The block is resolved before the hook check so that the common case — a
-// cached block whose start carries no hook — clears checkHook with a single
-// flag test instead of an addrHooks map lookup per taken branch. The flag is
-// trustworthy because Hook/Unhook invalidate the affected page's blocks.
-func (c *CPU) stepBlock(hint *Block) (*Block, error) {
-	pc := c.R[PC]
-	key := pcKey(pc, c.Thumb)
-	b := hint
-	if b == nil || b.key != key || !b.valid {
-		if b = c.blockCache[key]; b != nil && !b.valid {
-			b = nil
-		}
-	}
-	if c.checkHook {
-		c.checkHook = false
-		if b == nil || b.startHooked {
-			if hook, ok := c.addrHooks[pc]; ok {
-				switch hook(c) {
-				case ActionReturn:
-					ret := c.R[LR]
-					c.SetThumbPC(ret)
-					c.EmitBranch(pc, ret&^1)
-					return nil, nil
-				}
-				if c.Halted || c.R[PC] != pc {
-					// The hook halted the CPU or redirected control itself.
-					return nil, nil
-				}
-				if c.Tracer != c.boundTracer {
-					// The hook swapped the tracer; stale bindings must go.
-					c.invalidateAllBlocks()
-					c.boundTracer = c.Tracer
-				}
-			}
-			if b != nil && !b.valid {
-				// The hook re-hooked or rewrote this page under us.
-				b = nil
-			}
-		}
-	}
-	if b == nil {
-		b = c.translate(pc)
-		if b == nil {
-			// Untranslatable first instruction: one interpreter step yields
-			// the identical error (or executes the oddball insn).
-			return nil, c.Step()
-		}
-		c.BlockMisses++
-	} else {
-		c.BlockHits++
-	}
-	return c.execBlock(b)
-}
-
-// execBlock runs a block's steps and resolves the successor hint. InsnCount
-// is settled in bulk at every exit — positionally exact (i+1 instructions ran,
-// condition-failed ones included, matching the interpreter's count-then-check
-// order), and nothing reads the counter mid-block: hooks and the RunUntil
-// budget only observe it at dispatch boundaries.
-func (c *CPU) execBlock(b *Block) (*Block, error) {
-	if c.UseTaintGate && b.bare != nil {
-		if b.pinned && !c.gateWasLive && !c.gateBail {
-			// Statically pinned page, no pending taint edge: skip even the
-			// liveness predicate. If an edge is pending (a pin turned out
-			// optimistic), fall through to the full gate below, which
-			// re-derives liveness — wrong pins cost precision, never
-			// soundness.
-			c.GatePinnedBlocks++
-			return c.execBare(b)
-		}
-		live := c.taintLive()
-		if live != c.gateWasLive {
-			c.GateFlips++
-			c.gateWasLive = live
-		}
-		if !live {
-			c.GateFastBlocks++
-			return c.execBare(b)
-		}
-		c.GateSlowBlocks++
-	}
+// execSteps runs a block's instrumented variant, one step closure per
+// instruction, and resolves the successor hint. InsnCount is settled in bulk
+// at every exit, as on the bare path.
+func (c *CPU) execSteps(b *Block) (*Block, error) {
 	steps := b.steps
 	for i := 0; i < len(steps); i++ {
 		switch steps[i](c) {
@@ -378,45 +517,6 @@ func (c *CPU) execBlock(b *Block) (*Block, error) {
 			// A store from inside this block invalidated it (self-modifying
 			// code). Materialize PC past the executed instruction and bail to
 			// the dispatcher, which retranslates from the fresh bytes.
-			c.InsnCount += uint64(i + 1)
-			c.R[PC] = b.nexts[i]
-			return nil, nil
-		case stepBranch:
-			c.InsnCount += uint64(i + 1)
-			return c.chase(b, true), nil
-		case stepHalt:
-			c.InsnCount += uint64(i + 1)
-			return nil, nil
-		case stepErr:
-			c.InsnCount += uint64(i + 1)
-			err := c.blockErr
-			c.blockErr = nil
-			return nil, err
-		}
-	}
-	c.InsnCount += uint64(len(steps))
-	c.R[PC] = b.endPC
-	if !b.valid {
-		return nil, nil
-	}
-	return c.chase(b, false), nil
-}
-
-// execBare runs a block's uninstrumented variant. It is execBlock's loop
-// with one extra bail condition: gateBail, raised edge-triggered by the
-// liveness aggregate when the first taint tag is introduced while this block
-// may be mid-run (a write observer, a syscall model). Bailing materializes
-// PC after the already-executed instruction — which ran against a still
-// taint-free machine, so skipping its Table V dispatch was exact — and the
-// dispatcher resumes on the instrumented variant from the next instruction.
-func (c *CPU) execBare(b *Block) (*Block, error) {
-	steps := b.bare
-	for i := 0; i < len(steps); i++ {
-		switch steps[i](c) {
-		case stepNext:
-			if b.valid && !c.gateBail {
-				continue
-			}
 			c.InsnCount += uint64(i + 1)
 			c.R[PC] = b.nexts[i]
 			return nil, nil
@@ -470,7 +570,8 @@ func (c *CPU) translate(startPC uint32) *Block {
 		binder, _ = c.Tracer.(InsnBinder)
 	}
 	pc := startPC
-	for len(b.steps) < maxBlockSteps {
+	var last Insn
+	for len(b.nexts) < maxBlockSteps {
 		insn := c.decodeAt(pc)
 		if insn.Op == OpInvalid {
 			break
@@ -479,10 +580,11 @@ func (c *CPU) translate(startPC uint32) *Block {
 		if fn == nil {
 			break
 		}
-		b.steps = append(b.steps, fn)
 		if c.Tracer != nil {
-			b.bare = append(b.bare, bare)
+			b.steps = append(b.steps, fn)
 		}
+		b.bare = append(b.bare, bare)
+		last = insn
 		pc += insn.Size
 		b.nexts = append(b.nexts, pc)
 		if ends || insn.Rd == PC {
@@ -497,8 +599,20 @@ func (c *CPU) translate(startPC uint32) *Block {
 			break
 		}
 	}
-	if len(b.steps) == 0 {
+	if len(b.nexts) == 0 {
 		return nil
+	}
+	if last.Op == OpB || last.Op == OpBL {
+		// Fold the direct branch: the bare path applies it from metadata,
+		// mirroring buildExec's B/BL closures.
+		b.bare = b.bare[:len(b.bare)-1]
+		b.brOp, b.brCond = last.Op, last.Cond
+		b.brFrom = pc - last.Size
+		b.brTo, b.brLR = pc+uint32(last.Imm), pc
+		if c.Thumb {
+			b.brTo |= 1
+			b.brLR |= 1
+		}
 	}
 	b.endPC = pc
 	if c.pinnedPages != nil {

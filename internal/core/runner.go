@@ -22,6 +22,7 @@ package core
 // in Stats.CacheFaults, and recomputed.
 
 import (
+	"container/list"
 	"encoding/binary"
 	"hash/fnv"
 
@@ -100,7 +101,7 @@ type Runner struct {
 	// statics caches pre-analysis results by app fingerprint: a re-install of
 	// identical content re-seeds pins by name instead of re-running the
 	// analysis.
-	statics map[string]*static.Result
+	statics staticLRU
 
 	// cache is the persistent artifact store (nil on an uncached Runner).
 	cache *cas.Store
@@ -118,13 +119,59 @@ type Runner struct {
 	Stats RunnerStats
 }
 
+// staticCacheSize bounds Runner.statics. Each static.Result keeps the dex
+// tree it was computed on alive, and a market sweep installs a new digest
+// per submission; the degradation ladder's retries of one app — the reuse
+// the cache exists for — hit the most recent entry.
+const staticCacheSize = 64
+
+// staticLRU holds at most staticCacheSize pre-analysis results by app
+// fingerprint, evicting the least recently used.
+type staticLRU struct {
+	order *list.List // of *staticEntry, most recently used first
+	byKey map[string]*list.Element
+}
+
+type staticEntry struct {
+	key string
+	res *static.Result
+}
+
+func newStaticLRU() staticLRU {
+	return staticLRU{order: list.New(), byKey: make(map[string]*list.Element)}
+}
+
+// get returns the result cached under key (nil if absent), marking it most
+// recently used.
+func (l *staticLRU) get(key string) *static.Result {
+	e, ok := l.byKey[key]
+	if !ok {
+		return nil
+	}
+	l.order.MoveToFront(e)
+	return e.Value.(*staticEntry).res
+}
+
+// put caches res under key, which get just missed, evicting the least
+// recently used entry when the cache is full.
+func (l *staticLRU) put(key string, res *static.Result) {
+	l.byKey[key] = l.order.PushFront(&staticEntry{key: key, res: res})
+	if l.order.Len() > staticCacheSize {
+		oldest := l.order.Back()
+		l.order.Remove(oldest)
+		delete(l.byKey, oldest.Value.(*staticEntry).key)
+	}
+}
+
+func (l *staticLRU) len() int { return l.order.Len() }
+
 // NewRunner boots the warm System and captures its snapshot.
 func NewRunner() (*Runner, error) { return NewCachedRunner(nil) }
 
 // NewCachedRunner is NewRunner wired to a persistent artifact store; a nil
 // store yields a plain uncached Runner.
 func NewCachedRunner(store *cas.Store) (*Runner, error) {
-	r := &Runner{statics: make(map[string]*static.Result), cache: store}
+	r := &Runner{statics: newStaticLRU(), cache: store}
 	if err := r.boot(); err != nil {
 		return nil, err
 	}
@@ -208,7 +255,7 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 	var sr *static.Result
 	if opts.Static != static.Off {
 		key := r.fingerprintInstalled(spec).Static
-		if cached, ok := r.statics[key]; ok {
+		if cached := r.statics.get(key); cached != nil {
 			sr = cached
 			r.Stats.StaticReuses++
 			if opts.Static == static.PinLevel {
@@ -217,14 +264,14 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 				sr.ReApply(sys.VM)
 			}
 		} else if sr = r.loadStatic(key); sr != nil {
-			r.statics[key] = sr
+			r.statics.put(key, sr)
 			r.Stats.StaticDiskHits++
 			if opts.Static == static.PinLevel {
 				sr.ReApply(sys.VM)
 			}
 		} else {
 			sr = static.Analyze(sys.VM, spec.EntryClass, spec.EntryMethod)
-			r.statics[key] = sr
+			r.statics.put(key, sr)
 			r.Stats.StaticRuns++
 			if r.cache != nil {
 				// Best-effort store: a failed Put costs future reuse, nothing else.

@@ -26,8 +26,8 @@ type Frame struct {
 	// Translated-run scratch (see translate.go): step closures communicate
 	// control transfers through the frame so the per-invocation execution
 	// state allocates nothing.
-	tpc    int     // branch target for jsJump
-	tret   uint64  // return value for jsReturn
+	tpc    int    // branch target for jsJump
+	tret   uint64 // return value for jsReturn
 	trt    taint.Tag
 	thrown *Object // pending throw for jsThrow
 	terr   error   // emulator fault for jsErr

@@ -56,24 +56,24 @@ func registerParityClasses(vm *VM) {
 
 	// Wide + float + double arithmetic and conversions, result folded to int.
 	cb.Method("fp", "II", dex.AccStatic, 8).
-		IntToLong(0, 8).               // (v0,v1) = n
-		ConstWide(2, 7).               // (v2,v3) = 7
-		BinWide(dex.Mul, 0, 0, 2).     //
-		BinWide(dex.Add, 0, 0, 2).     //
-		LongToInt(4, 0).               //
-		IntToFloat(5, 4).              //
-		IntToFloat(6, 8).              //
-		BinFloat(dex.Add, 5, 5, 6).    //
-		BinFloat(dex.Mul, 5, 5, 6).    //
-		FloatToInt(5, 5).              //
-		IntToDouble(0, 5).             // (v0,v1)
-		IntToDouble(2, 8).             // (v2,v3)
-		BinDouble(dex.Div, 0, 0, 2).   //
-		DoubleToInt(6, 0).             //
-		CmpFloatOp(7, 5, 6).           //
-		Bin(dex.Add, 6, 6, 7).         //
-		Bin(dex.Add, 6, 6, 5).         //
-		Bin(dex.Add, 6, 6, 4).         //
+		IntToLong(0, 8).             // (v0,v1) = n
+		ConstWide(2, 7).             // (v2,v3) = 7
+		BinWide(dex.Mul, 0, 0, 2).   //
+		BinWide(dex.Add, 0, 0, 2).   //
+		LongToInt(4, 0).             //
+		IntToFloat(5, 4).            //
+		IntToFloat(6, 8).            //
+		BinFloat(dex.Add, 5, 5, 6).  //
+		BinFloat(dex.Mul, 5, 5, 6).  //
+		FloatToInt(5, 5).            //
+		IntToDouble(0, 5).           // (v0,v1)
+		IntToDouble(2, 8).           // (v2,v3)
+		BinDouble(dex.Div, 0, 0, 2). //
+		DoubleToInt(6, 0).           //
+		CmpFloatOp(7, 5, 6).         //
+		Bin(dex.Add, 6, 6, 7).       //
+		Bin(dex.Add, 6, 6, 5).       //
+		Bin(dex.Add, 6, 6, 4).       //
 		Return(6).
 		Done()
 
@@ -297,12 +297,12 @@ func TestMidRunStepFnInvalidation(t *testing.T) {
 
 	cb := dex.NewClass("Lcom/epoch/T;")
 	cb.Method("outer", "V", dex.AccStatic, 2).
-		Const(0, 1).                                   // pc 0
-		Const(1, 2).                                   // pc 1
+		Const(0, 1).                                     // pc 0
+		Const(1, 2).                                     // pc 1
 		InvokeStatic("Lcom/epoch/Install;", "arm", "V"). // pc 2: installs observer
-		Bin(dex.Add, 0, 0, 1).                         // pc 3: must be observed
-		Bin(dex.Add, 0, 0, 1).                         // pc 4: must be observed
-		ReturnVoid().                                  // pc 5
+		Bin(dex.Add, 0, 0, 1).                           // pc 3: must be observed
+		Bin(dex.Add, 0, 0, 1).                           // pc 4: must be observed
+		ReturnVoid().                                    // pc 5
 		Done()
 	vm.RegisterClass(cb.Build())
 

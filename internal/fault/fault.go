@@ -261,9 +261,9 @@ func Reset() {
 	armed.Store(false)
 }
 
-// Enabled reports whether any site is currently armed — the cheap pre-check
-// for call sites that want to skip even the Hit call on hot paths.
-func Enabled() bool { return armed.Load() }
+// Armed reports whether any site is currently armed — the inlinable
+// pre-check for hot paths that want to skip even the Hit call.
+func Armed() bool { return armed.Load() }
 
 // Fired reports how many times site has fired since the last Reset.
 func Fired(site string) int {

@@ -77,13 +77,22 @@ func (f *File) ReadAt(off, n uint32, m *mem.Memory, dst uint32) uint32 {
 	return end - off
 }
 
-// WriteAt stores data at offset off, growing the file as needed.
+// WriteAt stores data at offset off, growing the file as needed. Growth
+// doubles the capacity, so a file built by many appending writes costs
+// amortized O(1) per byte instead of a full copy per write. A write past EOF
+// reads back zeros in the hole [old EOF, off): spare capacity may hold stale
+// bytes (Kernel.Restore rewinds Data in place), so it is cleared.
 func (f *File) WriteAt(off uint32, data []byte) {
 	end := int(off) + len(data)
-	if end > len(f.Data) {
-		grown := make([]byte, end)
-		copy(grown, f.Data)
-		f.Data = grown
+	if n := len(f.Data); end > n {
+		if end > cap(f.Data) {
+			grown := make([]byte, end, max(end, 2*cap(f.Data)))
+			copy(grown, f.Data)
+			f.Data = grown
+		} else {
+			f.Data = f.Data[:end]
+			clear(f.Data[n:])
+		}
 	}
 	copy(f.Data[off:], data)
 }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strings"
 	"sync"
 
 	"repro/internal/cas"
@@ -382,7 +383,7 @@ func shardIndex(digest string, n int) int {
 // digest under one analysis configuration. Keyed by verdictKey, not the bare
 // app digest — mode, budget, fusion, flow-log capture, and static level all
 // change what a run produces.
-var KindVerdict = cas.Kind{Name: "verdict", Schema: "v2 service.verdictRecord chain,final_log,leaks,counters,surface"}
+var KindVerdict = cas.Kind{Name: "verdict", Schema: "v3 service.verdictRecord chain,final_log(text),final_lines,leaks,counters,surface"}
 
 // addRunnerStats folds one Runner's counters into an aggregate.
 func addRunnerStats(dst *core.RunnerStats, s core.RunnerStats) {
@@ -414,11 +415,17 @@ type attemptRecord struct {
 // keeps its full flow log so a replayed verdict is byte-identical to the
 // computed one; intermediate chain attempts keep mode, verdict, and fault
 // (what ChainString and the study tallies consume).
+//
+// The flow log is stored as one text of logSep-terminated lines: a JSON
+// array decodes element by element through reflection, which made a
+// flood app's tens of thousands of lines most of a warm replay's cost.
+// A log with a line that itself holds logSep keeps the array form.
 type verdictRecord struct {
 	Chain       []attemptRecord `json:"chain"`
 	Degraded    bool            `json:"degraded,omitempty"`
 	Thrown      bool            `json:"thrown,omitempty"`
-	FinalLog    []string        `json:"final_log,omitempty"`
+	FinalLog    string          `json:"final_log,omitempty"`
+	FinalLines  []string        `json:"final_lines,omitempty"`
 	LogHash     string          `json:"log_hash"`
 	Leaks       []core.Leak     `json:"leaks,omitempty"`
 	JavaInsns   uint64          `json:"java_insns"`
@@ -451,17 +458,18 @@ func (s *Service) storeVerdict(fp core.Fingerprint, rep core.AppReport) {
 	if s.opts.Cache == nil {
 		return
 	}
+	lines := rep.Final.Result.LogLines
 	rec := verdictRecord{
 		Degraded:     rep.Degraded,
 		Thrown:       rep.Final.Result.Thrown,
-		FinalLog:     rep.Final.Result.LogLines,
-		LogHash:      cas.DigestStrings(rep.Final.Result.LogLines...),
+		LogHash:      cas.DigestStrings(lines...),
 		Leaks:        rep.Final.Result.Leaks,
 		JavaInsns:    rep.Final.Result.JavaInsns,
 		NativeInsns:  rep.Final.Result.NativeInsns,
 		Surface:      rep.Final.Result.Surface,
 		JNICrossings: rep.Final.Result.JNICrossings,
 	}
+	rec.FinalLog, rec.FinalLines = encodeLog(lines)
 	for _, att := range rep.Chain {
 		rec.Chain = append(rec.Chain, attemptRecord{
 			Mode:    att.Mode.String(),
@@ -471,6 +479,39 @@ func (s *Service) storeVerdict(fp core.Fingerprint, rep core.AppReport) {
 	}
 	// Best-effort: a failed Put costs the short-circuit, nothing else.
 	_ = s.opts.Cache.Put(KindVerdict, verdictKey(fp, s.opts.Analyze), &rec)
+}
+
+// logSep terminates each flow-log line in a verdictRecord's text form. It
+// is printable (U+2424 SYMBOL FOR NEWLINE) because JSON escapes control
+// characters, and an escape per line sends the whole string down the
+// decoder's slow unquoting path.
+const logSep = "\u2424"
+
+// encodeLog packs flow-log lines for a verdictRecord: the logSep-terminated
+// text, or the lines themselves when one contains logSep.
+func encodeLog(lines []string) (string, []string) {
+	n := 0
+	for _, l := range lines {
+		if strings.Contains(l, logSep) {
+			return "", lines
+		}
+		n += len(l) + len(logSep)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, l := range lines {
+		b.WriteString(l)
+		b.WriteString(logSep)
+	}
+	return b.String(), nil
+}
+
+// decodeLog inverts encodeLog.
+func decodeLog(text string, lines []string) []string {
+	if text == "" {
+		return lines
+	}
+	return strings.Split(strings.TrimSuffix(text, logSep), logSep)
 }
 
 // loadVerdict replays a cached verdict record as an AppReport. Any miss —
@@ -504,7 +545,7 @@ func (s *Service) loadVerdict(fp core.Fingerprint) (core.AppReport, bool) {
 	}
 	final := &rep.Chain[len(rep.Chain)-1]
 	final.Result.Thrown = rec.Thrown
-	final.Result.LogLines = rec.FinalLog
+	final.Result.LogLines = decodeLog(rec.FinalLog, rec.FinalLines)
 	final.Result.Leaks = rec.Leaks
 	final.Result.JavaInsns = rec.JavaInsns
 	final.Result.NativeInsns = rec.NativeInsns

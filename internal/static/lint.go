@@ -142,9 +142,9 @@ func lintHandles(cfg *NativeCFG, fn *NativeFunc) []*fault.Fault {
 	g := newFuncGraph(cfg, fn)
 	nbits := len(sites) * bitsPerSite
 	sol := Solve(g, Problem{
-		Dir:  Forward,
-		Join: May,
-		Bits: nbits,
+		Dir:      Forward,
+		Join:     May,
+		Bits:     nbits,
 		Boundary: func(n int) BitSet { return NewBitSet(nbits) },
 		Transfer: func(n int, in BitSet) BitSet {
 			out := in.Copy()

@@ -52,14 +52,14 @@ func (r *Result) Portable() *Portable {
 		Methods: r.Methods, PinnedMethods: r.PinnedMethods,
 		NativeFuncs: r.NativeFuncs, NativePages: r.NativePages,
 		PinnedPages: r.PinnedPages, TaintFree: r.TaintFree,
-		Unresolved: r.Unresolved,
-		Sources:    sortedKeys(r.Sources),
-		Sinks:      sortedKeys(r.Sinks),
-		Crossings:  sortedKeys(r.Crossings),
+		Unresolved:    r.Unresolved,
+		Sources:       sortedKeys(r.Sources),
+		Sinks:         sortedKeys(r.Sinks),
+		Crossings:     sortedKeys(r.Crossings),
 		NativeCallees: sortedKeys(r.NativeCallees),
-		PinNames:   append([]string(nil), r.pinNames...),
-		PinPages:   append([]uint32(nil), r.pinPages...),
-		SeedNames:  append([]string(nil), r.seedNames...),
+		PinNames:      append([]string(nil), r.pinNames...),
+		PinPages:      append([]uint32(nil), r.pinPages...),
+		SeedNames:     append([]string(nil), r.seedNames...),
 	}
 	for addr := range r.CrossingAddrs {
 		p.CrossingAddrs = append(p.CrossingAddrs, addr)
@@ -80,16 +80,16 @@ func (p *Portable) Rehydrate() *Result {
 		Methods: p.Methods, PinnedMethods: p.PinnedMethods,
 		NativeFuncs: p.NativeFuncs, NativePages: p.NativePages,
 		PinnedPages: p.PinnedPages, TaintFree: p.TaintFree,
-		Unresolved: p.Unresolved,
-		Sources:    make(map[string]bool, len(p.Sources)),
-		Sinks:      make(map[string]bool, len(p.Sinks)),
-		Crossings:  make(map[string]bool, len(p.Crossings)),
+		Unresolved:    p.Unresolved,
+		Sources:       make(map[string]bool, len(p.Sources)),
+		Sinks:         make(map[string]bool, len(p.Sinks)),
+		Crossings:     make(map[string]bool, len(p.Crossings)),
 		CrossingAddrs: make(map[uint32]bool, len(p.CrossingAddrs)),
 		NativeCallees: make(map[string]bool, len(p.NativeCallees)),
-		pinNames:   append([]string(nil), p.PinNames...),
-		pinPages:   append([]uint32(nil), p.PinPages...),
-		seedNames:  append([]string(nil), p.SeedNames...),
-		rehydrated: true,
+		pinNames:      append([]string(nil), p.PinNames...),
+		pinPages:      append([]uint32(nil), p.PinPages...),
+		seedNames:     append([]string(nil), p.SeedNames...),
+		rehydrated:    true,
 	}
 	for _, s := range p.Sources {
 		r.Sources[s] = true

@@ -303,9 +303,9 @@ func analyzeReach(g *callGraph, entry *dex.Method) *reachResult {
 		base[i] = b
 	}
 	r.touches = Solve(g, Problem{
-		Dir:  Backward,
-		Join: May,
-		Bits: numTouchBits,
+		Dir:      Backward,
+		Join:     May,
+		Bits:     numTouchBits,
 		Boundary: func(n int) BitSet { return base[n] },
 		Transfer: func(n int, in BitSet) BitSet { return in },
 	})

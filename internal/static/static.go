@@ -17,7 +17,9 @@ package static
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/dex"
 	"repro/internal/dvm"
@@ -348,8 +350,7 @@ func (r *Result) CrossValidate(lines []string) []string {
 		case strings.HasPrefix(line, "SourceHandler @0x"):
 			// The JNI-entry source policy fires once per crossing; its
 			// address must be a reachable native method entry.
-			var addr uint32
-			if _, err := fmt.Sscanf(line, "SourceHandler @0x%x", &addr); err == nil {
+			if addr, ok := scanHex32(line[len("SourceHandler @0x"):]); ok {
 				if !rebound && !r.CrossingAddrs[addr] {
 					violate("dynamic JNI entry @%#x not in static crossing reach set", addr)
 				}
@@ -370,6 +371,27 @@ func (r *Result) CrossValidate(lines []string) []string {
 		}
 	}
 	return out
+}
+
+// scanHex32 parses the hex number leading s exactly as fmt's %x verb scans
+// one into a uint32: white space before it is skipped (a newline fails), the
+// longest run of hex digits is the token, trailing text is ignored, and an
+// empty or out-of-range token fails.
+func scanHex32(s string) (uint32, bool) {
+	t := strings.TrimLeftFunc(s, unicode.IsSpace)
+	if strings.ContainsRune(s[:len(s)-len(t)], '\n') {
+		return 0, false
+	}
+	n := 0
+	for n < len(t) && isHexDigit(t[n]) {
+		n++
+	}
+	v, err := strconv.ParseUint(t[:n], 16, 32)
+	return uint32(v), err == nil
+}
+
+func isHexDigit(b byte) bool {
+	return '0' <= b && b <= '9' || 'a' <= b && b <= 'f' || 'A' <= b && b <= 'F'
 }
 
 // bracketArg extracts NAME from "Prefix[NAME]...".

@@ -101,7 +101,7 @@ func (o *Observer) boundaryFor(name string) *boundary {
 // truncation, absorbed), then charges the budget. Suppressed events are
 // counted in dropped so truncation loss is quantified, never silent.
 func (o *Observer) event() bool {
-	if fault.Enabled() {
+	if fault.Armed() {
 		if f := fault.Hit(SiteOverflow, 0); f != nil {
 			o.truncated = true
 		}
