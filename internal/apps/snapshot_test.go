@@ -168,3 +168,47 @@ func TestRunStudyParallelDeterminism(t *testing.T) {
 		t.Error("parallel snapshot sweep served no resets")
 	}
 }
+
+// TestRunnerMarshalPlansBounded: the JNI bridge memoizes marshalling plans
+// by (shorty, static). A Runner fed a stream of distinct apps — shared-lib
+// variants of the whole corpus, each installed afresh three times — holds
+// at most one plan per signature shape their native methods use, never one
+// per installed method (which would keep every app's dex tree reachable).
+func TestRunnerMarshalPlansBounded(t *testing.T) {
+	runner, err := core.NewRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type shape struct {
+		shorty string
+		static bool
+	}
+	shapes := make(map[shape]bool)
+	for _, app := range apps.AllApps() {
+		sys, err := core.NewSystem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := app.Install(sys); err != nil {
+			continue // hostile installs fault; they cross no native method
+		}
+		for _, name := range sys.VM.Classes() {
+			c, _ := sys.VM.Class(name)
+			for _, m := range c.Methods {
+				if m.IsNative() {
+					shapes[shape{m.Shorty, m.IsStatic()}] = true
+				}
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for _, app := range apps.AllApps() {
+			core.AnalyzeApp(apps.SharedLibVariant(app).Spec(), core.AnalyzeOptions{
+				Budget: testBudget, FlowLog: true, Static: static.PinLevel, Runner: runner,
+			})
+		}
+	}
+	if got := runner.System().VM.MarshalPlanCount(); got == 0 || got > len(shapes) {
+		t.Errorf("Runner holds %d marshalling plans, want 1..%d (one per signature shape)", got, len(shapes))
+	}
+}

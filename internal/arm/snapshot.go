@@ -145,7 +145,8 @@ func (c *CPU) Restore(s *CPUSnapshot) {
 		c.invalidatePageBlocks(pn)
 	}
 
-	c.addrHooks = make(map[uint32]AddrHook, len(s.addrHooks))
+	// The snapshot owns its own copy, so the live map is refilled in place.
+	clear(c.addrHooks)
 	for a, h := range s.addrHooks {
 		c.addrHooks[a] = h
 	}

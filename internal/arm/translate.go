@@ -82,6 +82,12 @@ type Block struct {
 	// variant without consulting the liveness gate.
 	pinned bool
 
+	// spin marks a pure self-loop: the folded B targets the block's own
+	// start, no hook sits there, and every body instruction only reads and
+	// writes registers and flags (pureInsn). Once the chained bare path's
+	// dispatch boundary admits such a block, loopSpin repeats it.
+	spin bool
+
 	// The folded direct branch ending the block: its op (OpB or OpBL),
 	// condition, address, interworking target and link value, all resolved
 	// at translation.
@@ -405,6 +411,12 @@ dispatch:
 					}
 				}
 				c.BlockHits++
+				if b.spin && (c.BranchFn == nil || b.brTo&^1 < c.branchWatchLo || b.brTo&^1 > c.branchWatchHi) {
+					if b = c.loopSpin(b, limit); c.InsnCount > limit {
+						return entry, c.budgetFault(maxInsns)
+					}
+					continue dispatch
+				}
 			}
 		}
 		if err != nil {
@@ -418,6 +430,55 @@ dispatch:
 		}
 	}
 	return entry, nil
+}
+
+// loopSpin is the budget-only kernel for a spin block that has just passed
+// the chained bare path's dispatch boundary, with its branch event filtered
+// out. A pure iteration cannot fault, store, halt, call a hook, introduce
+// taint, invalidate a block or move PC anywhere but back to the block's
+// start, so every boundary check the chain repeats per iteration — halt,
+// stop, fault.Armed, hook, gate, branch watch — would pass again unchanged:
+// only the loop condition and the budget can end the loop. The kernel checks
+// just those, keeps InsnCount in a local, and settles the counters in bulk
+// on exit to exactly what the per-block chain leaves: on a budget exit PC is
+// at the loop head (SetThumbPC re-arms the hook check) and the caller raises
+// budgetFault; on a condition exit PC is endPC and the fall-through
+// successor is chased. Iterations that were followed by a passed boundary
+// each count one BlockHits and one gate fast-path or pinned dispatch.
+func (c *CPU) loopSpin(b *Block, limit uint64) *Block {
+	steps, cond := b.bare, b.brCond
+	per := uint64(len(steps) + 1)
+	start, n := c.InsnCount, c.InsnCount
+	taken := true
+	for {
+		for _, s := range steps {
+			s(c)
+		}
+		n += per
+		if cond != CondAL && !c.condHolds(cond) {
+			taken = false
+			break
+		}
+		if n > limit {
+			break
+		}
+	}
+	c.InsnCount = n
+	passed := (n-start)/per - 1
+	c.BlockHits += passed
+	if b.steps != nil {
+		if b.pinned {
+			c.GatePinnedBlocks += passed
+		} else {
+			c.GateFastBlocks += passed
+		}
+	}
+	if taken {
+		c.SetThumbPC(b.brTo)
+		return b
+	}
+	c.R[PC] = b.endPC
+	return c.chase(b, false)
 }
 
 // entryBlock is the entry block dispatch reports after its first dispatch:
@@ -571,6 +632,8 @@ func (c *CPU) translate(startPC uint32) *Block {
 	}
 	pc := startPC
 	var last Insn
+	// bodyPure covers every instruction before the last, allPure all of them.
+	bodyPure, allPure := true, true
 	for len(b.nexts) < maxBlockSteps {
 		insn := c.decodeAt(pc)
 		if insn.Op == OpInvalid {
@@ -580,6 +643,7 @@ func (c *CPU) translate(startPC uint32) *Block {
 		if fn == nil {
 			break
 		}
+		bodyPure, allPure = allPure, allPure && pureInsn(insn)
 		if c.Tracer != nil {
 			b.steps = append(b.steps, fn)
 		}
@@ -613,6 +677,7 @@ func (c *CPU) translate(startPC uint32) *Block {
 			b.brTo |= 1
 			b.brLR |= 1
 		}
+		b.spin = last.Op == OpB && b.brTo == b.key && !b.startHooked && bodyPure
 	}
 	b.endPC = pc
 	if c.pinnedPages != nil {
@@ -697,6 +762,19 @@ func (c *CPU) buildStep(pc uint32, insn Insn, binder InsnBinder) (fn, bare stepF
 			return exec(c)
 		}, bare, ends
 	}
+}
+
+// pureInsn reports whether an instruction only reads and writes registers
+// and flags: it cannot fault, store, halt or branch, so a self-loop made of
+// such instructions may run in loopSpin.
+func pureInsn(in Insn) bool {
+	switch in.Op {
+	case OpADD, OpSUB, OpRSB, OpADC, OpSBC, OpAND, OpORR, OpEOR, OpBIC,
+		OpLSL, OpLSR, OpASR, OpROR, OpMUL, OpMOV, OpMVN, OpMOVW, OpMOVT,
+		OpCMP, OpCMN, OpTST, OpTEQ, OpNOP:
+		return in.Rd != PC
+	}
+	return false
 }
 
 // refsPC reports whether the instruction reads R15 as a source.

@@ -21,6 +21,7 @@
 package cas
 
 import (
+	"encoding"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -108,7 +109,8 @@ func (s *Store) path(k Kind, digest string) string {
 }
 
 // entry framing: an 8-byte magic, an 8-byte little-endian FNV-64a checksum of
-// the payload, then the JSON payload.
+// the payload, then the payload: the value's MarshalBinary form when it
+// implements encoding.BinaryMarshaler, JSON otherwise.
 var magic = [8]byte{'N', 'D', 'C', 'A', 'S', 'v', '0', '1'}
 
 func checksum(payload []byte) uint64 {
@@ -121,7 +123,13 @@ func checksum(payload []byte) uint64 {
 // and rename, so a concurrent reader sees either the old entry or the new
 // one, never a torn write.
 func (s *Store) Put(k Kind, digest string, v interface{}) error {
-	payload, err := json.Marshal(v)
+	var payload []byte
+	var err error
+	if bm, ok := v.(encoding.BinaryMarshaler); ok {
+		payload, err = bm.MarshalBinary()
+	} else {
+		payload, err = json.Marshal(v)
+	}
 	if err != nil {
 		return fmt.Errorf("cas: marshal %s/%s: %w", k.Name, digest, err)
 	}
@@ -189,7 +197,12 @@ func (s *Store) Get(k Kind, digest string, out interface{}) (bool, error) {
 		s.evictCorrupt(k, digest)
 		return false, s.corruptFault(k, digest, "checksum mismatch", nil)
 	}
-	if err := json.Unmarshal(payload, out); err != nil {
+	if bu, ok := out.(encoding.BinaryUnmarshaler); ok {
+		err = bu.UnmarshalBinary(payload)
+	} else {
+		err = json.Unmarshal(payload, out)
+	}
+	if err != nil {
 		s.evictCorrupt(k, digest)
 		return false, s.corruptFault(k, digest, "undecodable payload", err)
 	}

@@ -85,18 +85,21 @@ func run(modes []core.Mode, scale, repeats int, gated bool) (*Result, error) {
 			Gate:     make(map[core.Mode]GateStats),
 		}
 		for _, mode := range modes {
-			best := 0.0
-			for r := 0; r < repeats; r++ {
+			row.Score[mode] = 0
+		}
+		// Repeats are the outer loop, so a burst of host contention lands on
+		// every mode of the row alike; each mode keeps its best score.
+		for r := 0; r < repeats; r++ {
+			for _, mode := range modes {
 				s, gs, err := measure(w, mode, scale, gated, false)
 				if err != nil {
 					return nil, fmt.Errorf("cfbench: %s under %s: %w", w.Name, mode, err)
 				}
-				if s > best {
-					best = s
+				if s > row.Score[mode] {
+					row.Score[mode] = s
 					row.Gate[mode] = gs
 				}
 			}
-			row.Score[mode] = best
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -87,7 +87,7 @@ func (fl *FlowLog) Addf(format string, args ...interface{}) {
 	if !fl.Enabled {
 		return
 	}
-	fl.Lines = append(fl.Lines, fmt.Sprintf(format, args...))
+	fl.push(fmt.Sprintf(format, args...))
 }
 
 // Add appends a preformatted line when logging is enabled. Fused JNI chains
@@ -96,6 +96,18 @@ func (fl *FlowLog) Addf(format string, args ...interface{}) {
 func (fl *FlowLog) Add(line string) {
 	if !fl.Enabled {
 		return
+	}
+	fl.push(line)
+}
+
+// push appends one line, doubling the capacity when full: append grows
+// large slices by about 1.25x, so a flood app's log would allocate several
+// times its final size.
+func (fl *FlowLog) push(line string) {
+	if len(fl.Lines) == cap(fl.Lines) {
+		grown := make([]string, len(fl.Lines), 2*cap(fl.Lines)+16)
+		copy(grown, fl.Lines)
+		fl.Lines = grown
 	}
 	fl.Lines = append(fl.Lines, line)
 }
@@ -176,9 +188,41 @@ type Analyzer struct {
 	// invalidates its page's translated blocks, so the bound entry closure
 	// installs each hook once per analyzer instead of once per crossing.
 	entryBound map[uint32]bool
+	// names memoizes dex.Method.FullName for the JNI surface callbacks, which
+	// fire on every crossing; sourceLines memoizes the SourceHandler log line
+	// per native entry address.
+	names       map[*dex.Method]string
+	sourceLines map[uint32]string
 
 	// javaVMIWalks counts DroidScope-mode per-instruction reconstructions.
 	javaVMIWalks uint64
+}
+
+// fullName is m.FullName, built once per method per analyzer.
+func (a *Analyzer) fullName(m *dex.Method) string {
+	if n, ok := a.names[m]; ok {
+		return n
+	}
+	if a.names == nil {
+		a.names = make(map[*dex.Method]string)
+	}
+	n := m.FullName()
+	a.names[m] = n
+	return n
+}
+
+// sourceLine is the "SourceHandler @0x…" flow-log line for a native entry
+// address, formatted once per address per analyzer.
+func (a *Analyzer) sourceLine(addr uint32) string {
+	if l, ok := a.sourceLines[addr]; ok {
+		return l
+	}
+	if a.sourceLines == nil {
+		a.sourceLines = make(map[uint32]string)
+	}
+	l := fmt.Sprintf("SourceHandler @0x%x", addr)
+	a.sourceLines[addr] = l
+	return l
 }
 
 // SiteFusedDeopt re-exports the fused-chain deopt injection site.
@@ -239,11 +283,11 @@ func newAnalyzer(sys *System, mode Mode, gate bool) *Analyzer {
 	// callbacks touch the flow log.
 	a.Surface = surface.NewObserver()
 	a.seedSurface()
-	sys.VM.OnJNICall = func(m *dex.Method) { a.Surface.Call(m.FullName()) }
+	sys.VM.OnJNICall = func(m *dex.Method) { a.Surface.Call(a.fullName(m)) }
 	sys.VM.OnNativeBind = func(m *dex.Method, old, new uint32, dynamic bool) {
-		a.Surface.Register(m.FullName(), dynamic, old, new)
+		a.Surface.Register(a.fullName(m), dynamic, old, new)
 	}
-	sys.VM.OnReflectCall = func(m *dex.Method) { a.Surface.Reflect(m.FullName()) }
+	sys.VM.OnReflectCall = func(m *dex.Method) { a.Surface.Reflect(a.fullName(m)) }
 	a.wireCodeWrite()
 	if gate {
 		// Hot Dalvik→JNI→ARM crossing chains compile to fused closures; the

@@ -131,7 +131,7 @@ func (a *Analyzer) onJNIEntry(ctx *dvm.CallCtx) {
 	base := defaultHandler(a.Engine)
 	p.Handler = func(sp *SourcePolicy, c *arm.CPU) {
 		base(sp, c)
-		a.Log.Addf("SourceHandler @0x%x", sp.MethodAddress)
+		a.Log.Add(a.sourceLine(sp.MethodAddress))
 	}
 
 	// Taint-map entries for object arguments at their direct addresses and
@@ -201,9 +201,10 @@ func (a *Analyzer) bindJNIEntry(m *dex.Method) func(*dvm.CallCtx) {
 		AccessFlags:   m.Flags,
 	}
 	base := defaultHandler(a.Engine)
+	sourceLine := a.sourceLine(m.NativeAddr)
 	p.Handler = func(sp *SourcePolicy, c *arm.CPU) {
 		base(sp, c)
-		a.Log.Addf("SourceHandler @0x%x", sp.MethodAddress)
+		a.Log.Add(sourceLine)
 	}
 	a.installMethodEntryHookOnce(m.NativeAddr)
 

@@ -170,7 +170,9 @@ func (a *Analyzer) Run(class, method string, args []uint32, taints []taint.Tag) 
 			res.Verdict = verdictForFault(res.Fault)
 		}
 		res.Leaks = append([]Leak(nil), a.Leaks...)
-		res.LogLines = append([]string(nil), a.Log.Lines...)
+		// Clipped, not copied: the log only grows by append, and the full
+		// capacity slice forces any append to res.LogLines to reallocate.
+		res.LogLines = a.Log.Lines[:len(a.Log.Lines):len(a.Log.Lines)]
 		res.JavaInsns = vm.JavaInsnCount - startJava
 		res.NativeInsns = a.Sys.CPU.InsnCount - startNative
 		res.JNICrossings = vm.JNICrossings - startCross

@@ -207,15 +207,10 @@ func (vm *VM) callFused(fc *fusedChain, th *Thread, m *dex.Method, args []uint32
 	defer vm.putJNIScratch(sc)
 	cpuArgs, argTaints, argObjs := vm.marshalJNIArgs(plan, m, clsObj, args, taints, sc)
 
-	ctx := &CallCtx{
-		VM:        vm,
-		Name:      "dvmCallJNIMethod",
-		Thread:    th,
-		Method:    m,
-		CPUArgs:   cpuArgs,
-		ArgTaints: argTaints,
-		ArgObjs:   argObjs,
-	}
+	ctx := vm.getCallCtx()
+	defer vm.putCallCtx(ctx)
+	ctx.VM, ctx.Name, ctx.Thread, ctx.Method = vm, "dvmCallJNIMethod", th, m
+	ctx.CPUArgs, ctx.ArgTaints, ctx.ArgObjs = cpuArgs, argTaints, argObjs
 
 	// The internalCall sequence with the hook walk pre-bound.
 	c := vm.CPU
@@ -267,6 +262,25 @@ func (vm *VM) callFused(fc *fusedChain, th *Thread, m *dex.Method, args []uint32
 		th.Exception = nil
 	}
 	return ret, retTaint, thrown, nil
+}
+
+// getCallCtx hands out the fused bridge's CallCtx for the next crossing
+// depth. Crossings nest strictly (a native body may call Java, which may
+// cross into native again), so one slot per depth suffices; putCallCtx
+// zeroes the slot so the pool pins no objects between crossings. Hooks see
+// the context only for the duration of the crossing and must not keep it.
+func (vm *VM) getCallCtx() *CallCtx {
+	if len(vm.callCtxs) <= vm.ctxDepth {
+		vm.callCtxs = append(vm.callCtxs, &CallCtx{})
+	}
+	ctx := vm.callCtxs[vm.ctxDepth]
+	vm.ctxDepth++
+	return ctx
+}
+
+func (vm *VM) putCallCtx(ctx *CallCtx) {
+	vm.ctxDepth--
+	*ctx = CallCtx{}
 }
 
 // callNativeFused is callNative with the full register restore replaced by

@@ -68,10 +68,13 @@ func (vm *VM) getSavedCPU() *savedCPU {
 	return vm.savedCPUStack[vm.padDepth]
 }
 
-// marshalPlan is the per-method pre-decoded shorty: one step byte per
-// argument position plus the widths and return kind the bridge needs. Plans
-// derive only from immutable method metadata, so they are memoized for the
-// method's lifetime and shared by the fused and unfused paths.
+// marshalPlan is the pre-decoded shorty: one step byte per argument position
+// plus the widths and return kind the bridge needs. A plan derives only from
+// the shorty and the static flag, so plans are memoized by that pair
+// (planKey) and shared by the fused and unfused paths and by every method
+// with the same signature shape. Keying by method pointer instead would keep
+// every installed app's methods — and through them their dex trees —
+// reachable for the VM's lifetime.
 type marshalPlan struct {
 	steps   []byte // per shorty arg: 'L' object, 'W' wide pair, 'P' prim word
 	nWords  int    // AAPCS words incl. env + receiver
@@ -80,11 +83,18 @@ type marshalPlan struct {
 	retWide bool
 }
 
+// planKey identifies a marshalPlan.
+type planKey struct {
+	shorty string
+	static bool
+}
+
 func (vm *VM) planFor(m *dex.Method) *marshalPlan {
-	if p, ok := vm.marshalPlans[m]; ok {
+	key := planKey{m.Shorty, m.IsStatic()}
+	if p, ok := vm.marshalPlans[key]; ok {
 		return p
 	}
-	p := &marshalPlan{static: m.IsStatic(), retKind: m.Shorty[0], retWide: m.RetWide()}
+	p := &marshalPlan{static: key.static, retKind: m.Shorty[0], retWide: m.RetWide()}
 	n := 2 // JNIEnv + receiver (this or class object)
 	for i := 1; i < len(m.Shorty); i++ {
 		switch m.Shorty[i] {
@@ -101,11 +111,14 @@ func (vm *VM) planFor(m *dex.Method) *marshalPlan {
 	}
 	p.nWords = n
 	if vm.marshalPlans == nil {
-		vm.marshalPlans = make(map[*dex.Method]*marshalPlan)
+		vm.marshalPlans = make(map[planKey]*marshalPlan)
 	}
-	vm.marshalPlans[m] = p
+	vm.marshalPlans[key] = p
 	return p
 }
+
+// MarshalPlanCount reports how many marshalling plans the VM memoizes.
+func (vm *VM) MarshalPlanCount() int { return len(vm.marshalPlans) }
 
 // jniScratch is one pooled set of bridge argument arrays.
 type jniScratch struct {

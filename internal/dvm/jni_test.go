@@ -1,6 +1,8 @@
 package dvm
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dex"
@@ -343,5 +345,119 @@ func TestLongArithmetic(t *testing.T) {
 	ret, _ = invoke(t, vm, "Lcom/smali/Longs;", "big", 1000000)
 	if int32(ret) != 0 { // 1e12 == 1e12
 		t.Errorf("cmp-long = %d, want 0", int32(ret))
+	}
+}
+
+// nestLib is a native→Java→native crossing: outer calls the static Java
+// method mid(20), which crosses into inner(x) = x+1; outer adds 100.
+const nestLib = `
+Java_outer:
+	PUSH {R4, R5, R6, LR}
+	MOV R4, R0
+	MOV R5, R1
+	LDR R2, =m_mid
+	LDR R3, =sig_mid
+	BL GetStaticMethodID
+	MOV R6, R0
+	LDR R12, =nest_args
+	MOV R2, #20
+	STR R2, [R12]
+	MOV R0, R4
+	MOV R1, R5
+	MOV R2, R6
+	MOV R3, R12
+	BL CallStaticIntMethodA
+	ADD R0, R0, #100
+	POP {R4, R5, R6, PC}
+
+Java_inner:
+	ADD R0, R2, #1
+	BX LR
+
+m_mid:
+	.asciz "mid"
+sig_mid:
+	.asciz "(I)I"
+	.align 4
+nest_args:
+	.space 8
+`
+
+// TestFusedNestedCrossingsOwnTheirCallCtx: the fused bridge pools its
+// CallCtx by crossing depth. In a nested native→Java→native crossing each
+// depth's hooks see their own context from Before through After, and every
+// pooled context is zeroed once the crossings return.
+func TestFusedNestedCrossingsOwnTheirCallCtx(t *testing.T) {
+	vm := newVM(t)
+	const cls = "Lcom/test/Nest;"
+	prog, err := vm.LoadNativeLib("libnest.so", nestLib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := dex.NewClass(cls)
+	cb.NativeMethod("outer", "I", dex.AccStatic, 0)
+	cb.NativeMethod("inner", "II", dex.AccStatic, 0)
+	cb.Method("mid", "II", dex.AccStatic, 1).
+		InvokeStatic(cls, "inner", "II", 1).
+		MoveResult(0).
+		Return(0).
+		Done()
+	vm.RegisterClass(cb.Build())
+	for _, name := range []string{"outer", "inner"} {
+		if err := vm.BindNative(cls, name, prog, "Java_"+name); err != nil {
+			t.Fatal(err)
+		}
+		c, _ := vm.Class(cls)
+		m, _ := c.Method(name)
+		vm.SeedFusion(m)
+	}
+	vm.FuseNative = true
+
+	type entry struct {
+		ctx  *CallCtx
+		name string
+	}
+	var stack []entry
+	var order []string
+	vm.HookInternal("dvmCallJNIMethod", InternalHook{
+		Before: func(ctx *CallCtx) {
+			stack = append(stack, entry{ctx, ctx.Method.Name})
+			order = append(order, "enter "+ctx.Method.Name)
+		},
+		After: func(ctx *CallCtx) {
+			top := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if ctx != top.ctx || ctx.Method == nil || ctx.Method.Name != top.name {
+				t.Errorf("After for %s got a context for %v", top.name, ctx.Method)
+			}
+			for _, e := range stack {
+				if e.ctx == ctx {
+					t.Errorf("%s shares its CallCtx with an enclosing crossing", top.name)
+				}
+			}
+			order = append(order, "exit "+ctx.Method.Name)
+		},
+	})
+
+	for round := 0; round < 2; round++ {
+		order = order[:0]
+		ret, _ := invoke(t, vm, cls, "outer")
+		if ret != 121 {
+			t.Fatalf("outer() = %d, want 121", ret)
+		}
+		if got := strings.Join(order, ","); got != "enter outer,enter inner,exit inner,exit outer" {
+			t.Errorf("hook order %s", got)
+		}
+	}
+	if vm.JavaFusedCalls != 4 {
+		t.Errorf("JavaFusedCalls = %d, want every crossing fused", vm.JavaFusedCalls)
+	}
+	if vm.ctxDepth != 0 || len(vm.callCtxs) != 2 {
+		t.Errorf("ctxDepth = %d with %d pooled contexts, want 0 and 2", vm.ctxDepth, len(vm.callCtxs))
+	}
+	for i, ctx := range vm.callCtxs {
+		if !reflect.ValueOf(*ctx).IsZero() {
+			t.Errorf("pooled CallCtx %d not zeroed: %+v", i, *ctx)
+		}
 	}
 }

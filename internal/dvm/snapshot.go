@@ -324,7 +324,7 @@ func (vm *VM) Restore(s *VMSnapshot) {
 	// Fusion state does not survive a restore: chains and heat counters are
 	// keyed by method pointers from the discarded attempt, and the epoch bump
 	// below would invalidate every chain anyway. Marshalling plans are kept —
-	// they derive only from immutable method metadata of the shared dex tree.
+	// they are keyed by signature shape, not by method.
 	vm.fused = nil
 	vm.fuseHeat = nil
 	vm.fuseSeeds = nil

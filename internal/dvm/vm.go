@@ -275,12 +275,16 @@ type VM struct {
 	fused     map[*dex.Method]*fusedChain
 	fuseHeat  map[*dex.Method]uint32
 	fuseSeeds map[*dex.Method]bool
-	// marshalPlans memoizes per-method shorty decoding for both bridge paths.
-	marshalPlans map[*dex.Method]*marshalPlan
+	// marshalPlans memoizes shorty decoding for both bridge paths.
+	marshalPlans map[planKey]*marshalPlan
 	// jniScratchPool recycles the argument/taint/object slices of the JNI
-	// bridge; savedCPUStack recycles register-snapshot buffers by pad depth.
+	// bridge; savedCPUStack recycles register-snapshot buffers by pad depth;
+	// callCtxs recycles the fused bridge's CallCtx by crossing depth
+	// (ctxDepth crossings are in flight).
 	jniScratchPool []*jniScratch
 	savedCPUStack  []*savedCPU
+	callCtxs       []*CallCtx
+	ctxDepth       int
 
 	// pinnedClean holds methods the static pre-analysis proved can never
 	// observe tainted data: translated frames for them always run the clean

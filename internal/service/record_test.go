@@ -1,14 +1,14 @@
 package service
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 )
 
 // TestVerdictRecordLogRoundTrip: a flow log survives the verdict record's
-// text packing and a JSON round trip exactly — empty logs, empty lines,
-// newlines, and a line holding the separator itself (array fallback).
+// text packing and its store form (JSON head plus raw text) exactly — empty
+// logs, empty lines, quotes and HTML characters, and a line holding the
+// separator itself (array fallback).
 func TestVerdictRecordLogRoundTrip(t *testing.T) {
 	for _, lines := range [][]string{
 		nil,
@@ -21,16 +21,34 @@ func TestVerdictRecordLogRoundTrip(t *testing.T) {
 	} {
 		var rec verdictRecord
 		rec.FinalLog, rec.FinalLines = encodeLog(lines)
-		data, err := json.Marshal(&rec)
+		data, err := rec.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var back verdictRecord
-		if err := json.Unmarshal(data, &back); err != nil {
+		if err := back.UnmarshalBinary(data); err != nil {
 			t.Fatal(err)
 		}
 		if got := decodeLog(back.FinalLog, back.FinalLines); !reflect.DeepEqual(got, lines) {
 			t.Errorf("log %q round-trips to %q", lines, got)
+		}
+	}
+}
+
+// TestVerdictRecordRejectsTruncatedHead: a store form whose head length
+// runs past the entry, or that is shorter than the length word, fails to
+// decode (the store then evicts it as corrupt) instead of yielding a record.
+func TestVerdictRecordRejectsTruncatedHead(t *testing.T) {
+	rec := verdictRecord{Chain: []attemptRecord{{Mode: "ndroid", Verdict: "clean"}}}
+	rec.FinalLog, rec.FinalLines = encodeLog([]string{"a", "b"})
+	data, err := rec.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]byte{data[:3], data[:10]} {
+		var back verdictRecord
+		if err := back.UnmarshalBinary(bad); err == nil {
+			t.Errorf("%d-byte prefix decoded without error", len(bad))
 		}
 	}
 }

@@ -27,7 +27,9 @@
 package service
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -383,7 +385,7 @@ func shardIndex(digest string, n int) int {
 // digest under one analysis configuration. Keyed by verdictKey, not the bare
 // app digest — mode, budget, fusion, flow-log capture, and static level all
 // change what a run produces.
-var KindVerdict = cas.Kind{Name: "verdict", Schema: "v3 service.verdictRecord chain,final_log(text),final_lines,leaks,counters,surface"}
+var KindVerdict = cas.Kind{Name: "verdict", Schema: "v4 service.verdictRecord binary: json head (chain,final_lines,leaks,counters,surface) + final_log text"}
 
 // addRunnerStats folds one Runner's counters into an aggregate.
 func addRunnerStats(dst *core.RunnerStats, s core.RunnerStats) {
@@ -416,15 +418,17 @@ type attemptRecord struct {
 // computed one; intermediate chain attempts keep mode, verdict, and fault
 // (what ChainString and the study tallies consume).
 //
-// The flow log is stored as one text of logSep-terminated lines: a JSON
-// array decodes element by element through reflection, which made a
-// flood app's tens of thousands of lines most of a warm replay's cost.
-// A log with a line that itself holds logSep keeps the array form.
+// The flow log is stored as one text of logSep-terminated lines after the
+// record's JSON head (MarshalBinary): a JSON array decodes element by
+// element through reflection, and even one JSON string makes the decoder
+// scan, validate and copy a flood app's megabytes several times, which made
+// the log most of a warm replay's cost. A log with a line that itself holds
+// logSep keeps the array form inside the head.
 type verdictRecord struct {
 	Chain       []attemptRecord `json:"chain"`
 	Degraded    bool            `json:"degraded,omitempty"`
 	Thrown      bool            `json:"thrown,omitempty"`
-	FinalLog    string          `json:"final_log,omitempty"`
+	FinalLog    string          `json:"-"`
 	FinalLines  []string        `json:"final_lines,omitempty"`
 	LogHash     string          `json:"log_hash"`
 	Leaks       []core.Leak     `json:"leaks,omitempty"`
@@ -481,11 +485,37 @@ func (s *Service) storeVerdict(fp core.Fingerprint, rep core.AppReport) {
 	_ = s.opts.Cache.Put(KindVerdict, verdictKey(fp, s.opts.Analyze), &rec)
 }
 
-// logSep terminates each flow-log line in a verdictRecord's text form. It
-// is printable (U+2424 SYMBOL FOR NEWLINE) because JSON escapes control
-// characters, and an escape per line sends the whole string down the
-// decoder's slow unquoting path.
-const logSep = "\u2424"
+// MarshalBinary is the record's store form: the little-endian length of its
+// JSON head, the head, then the raw final_log text.
+func (r *verdictRecord) MarshalBinary() ([]byte, error) {
+	head, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 4, 4+len(head)+len(r.FinalLog))
+	binary.LittleEndian.PutUint32(buf, uint32(len(head)))
+	buf = append(buf, head...)
+	return append(buf, r.FinalLog...), nil
+}
+
+// UnmarshalBinary inverts MarshalBinary.
+func (r *verdictRecord) UnmarshalBinary(data []byte) error {
+	if len(data) < 4 {
+		return errors.New("verdict record: short header")
+	}
+	n := binary.LittleEndian.Uint32(data)
+	if uint64(n) > uint64(len(data)-4) {
+		return errors.New("verdict record: head overruns the entry")
+	}
+	if err := json.Unmarshal(data[4:4+n], r); err != nil {
+		return err
+	}
+	r.FinalLog = string(data[4+n:])
+	return nil
+}
+
+// logSep terminates each flow-log line in a verdictRecord's text form.
+const logSep = "\n"
 
 // encodeLog packs flow-log lines for a verdictRecord: the logSep-terminated
 // text, or the lines themselves when one contains logSep.

@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/arm"
+	"repro/internal/dvm"
+	"repro/internal/kernel"
+	"repro/internal/libc"
+	"repro/internal/mem"
 )
 
 // assembleFixture builds a tiny library with fake extern symbols and returns
@@ -219,4 +223,59 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// mapResolver is the resolver buildResolver replaced: the libc and JNI
+// symbol tables inverted into one map (JNI names winning a shared address),
+// falling back to the libdvm reverse table.
+func mapResolver(vm *dvm.VM) func(uint32) (string, bool) {
+	byAddr := make(map[uint32]string)
+	for name, addr := range vm.Libc.Syms() {
+		byAddr[addr&^1] = name
+	}
+	for name, addr := range vm.JNISyms() {
+		byAddr[addr&^1] = name
+	}
+	return func(addr uint32) (string, bool) {
+		if name, ok := byAddr[addr&^1]; ok {
+			return name, true
+		}
+		return vm.InternalName(addr &^ 1)
+	}
+}
+
+// TestBuildResolverMatchesSymbolMaps: resolving through the VM's reverse
+// tables gives the same name as the inverted symbol maps for every libc,
+// libm, JNIEnv and libdvm address (Thumb bit set or not), and the same miss
+// just past each one.
+func TestBuildResolverMatchesSymbolMaps(t *testing.T) {
+	m := mem.New()
+	k := kernel.New(m)
+	task := k.NewTask("app_process")
+	c := arm.New(m)
+	lc, err := libc.New(m, k, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := dvm.New(m, c, k, task, lc)
+	got, want := buildResolver(vm), mapResolver(vm)
+	var addrs []uint32
+	for _, a := range vm.Libc.Syms() {
+		addrs = append(addrs, a)
+	}
+	for _, a := range vm.JNISyms() {
+		addrs = append(addrs, a)
+	}
+	if len(addrs) < 100 {
+		t.Fatalf("only %d symbol addresses; the VM tables are not populated", len(addrs))
+	}
+	for _, a := range addrs {
+		for _, probe := range []uint32{a, a | 1, a &^ 1, a + 2, a + 4} {
+			gn, gok := got(probe)
+			wn, wok := want(probe)
+			if gn != wn || gok != wok {
+				t.Errorf("%#x: resolved %q,%v, want %q,%v", probe, gn, gok, wn, wok)
+			}
+		}
+	}
 }

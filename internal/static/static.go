@@ -24,6 +24,7 @@ import (
 	"repro/internal/dex"
 	"repro/internal/dvm"
 	"repro/internal/fault"
+	"repro/internal/kernel"
 )
 
 // Level selects how much of the pre-analysis is applied to a run.
@@ -221,23 +222,22 @@ func progContains(lib dvm.LoadedLib, addr uint32) bool {
 	return addr >= lib.Prog.Base && addr < lib.Prog.Base+lib.Prog.Size()
 }
 
-// buildResolver inverts the VM's symbol tables (libc, JNI env trampolines,
-// libdvm internals) into an address → name lookup for the CFG traversal.
+// buildResolver resolves an address to a symbol name for the CFG traversal
+// through the VM's own reverse tables: libdvm internals and JNI env
+// functions first, then the JNIEnv table itself, then libc/libm.
 func buildResolver(vm *dvm.VM) func(uint32) (string, bool) {
-	byAddr := make(map[uint32]string)
-	if vm.Libc != nil {
-		for name, addr := range vm.Libc.Syms() {
-			byAddr[addr&^1] = name
-		}
-	}
-	for name, addr := range vm.JNISyms() {
-		byAddr[addr&^1] = name
-	}
 	return func(addr uint32) (string, bool) {
-		if name, ok := byAddr[addr&^1]; ok {
+		addr &^= 1
+		if name, ok := vm.InternalName(addr); ok {
 			return name, true
 		}
-		return vm.InternalName(addr &^ 1)
+		if addr == kernel.JNIEnvBase {
+			return "JNIEnv", true
+		}
+		if vm.Libc != nil {
+			return vm.Libc.NameAt(addr)
+		}
+		return "", false
 	}
 }
 
