@@ -173,7 +173,7 @@ func (rep *StudyReport) tally() {
 }
 
 // RunStudyService runs the sweep through an analysis service: every app is
-// Submitted, sharded by content digest across workers, and collected back in
+// Submitted, served by whichever worker is free, and collected back in
 // corpus order. With opts.Cache set, artifacts and verdict records persist in
 // the store — a second sweep over the same corpus short-circuits entirely.
 // Verdicts and flow logs are byte-identical to RunStudy/RunStudyParallel in

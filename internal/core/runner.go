@@ -16,7 +16,7 @@ package core
 // A Runner may additionally be wired to the persistent content-addressed
 // artifact store (NewCachedRunner): static pre-analysis results, per-library
 // assembled images, and dex validation verdicts are then keyed by content
-// digest and shared across Runners, service shards, and processes. Artifacts
+// digest and shared across Runners, service workers, and processes. Artifacts
 // are a pure cost optimisation — a cache hit replays exactly what a recompute
 // would produce, and a corrupt or injected-faulty entry is evicted, counted
 // in Stats.CacheFaults, and recomputed.
@@ -119,11 +119,13 @@ type Runner struct {
 	Stats RunnerStats
 }
 
-// staticCacheSize bounds Runner.statics. Each static.Result keeps the dex
-// tree it was computed on alive, and a market sweep installs a new digest
-// per submission; the degradation ladder's retries of one app — the reuse
-// the cache exists for — hit the most recent entry.
-const staticCacheSize = 64
+// staticCacheSize bounds Runner.statics. The reuse the cache exists for is
+// the degradation ladder re-installing one app per rung, which hits the most
+// recent entry. Anything older is dead weight: each static.Result keeps the
+// dex tree it was computed on alive, a market sweep installs a new digest
+// per submission, and the service hands an identical resubmission to
+// whichever worker is free, so an older entry is rarely asked for again.
+const staticCacheSize = 4
 
 // staticLRU holds at most staticCacheSize pre-analysis results by app
 // fingerprint, evicting the least recently used.
@@ -325,8 +327,8 @@ type LibPrint struct {
 // artifact scope: Dex covers the structural content of every non-framework
 // class, each LibPrint covers one native image, Static additionally binds
 // the entry point (the inputs of static.Analyze), and App is the submission
-// identity the service shards and dedups by. The submission's display name
-// is excluded throughout — identical content under two names is one app.
+// identity the service dedups by. The submission's display name is
+// excluded throughout — identical content under two names is one app.
 type Fingerprint struct {
 	App    string
 	Static string

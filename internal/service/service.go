@@ -5,19 +5,20 @@
 // Install adds to the warm System — display names excluded), and the digest
 // drives the whole pipeline:
 //
-//   - Routing: submissions are sharded digest->worker, so identical content
-//     always lands on the same worker's snapshot-cloned Runner and its warm
-//     in-memory caches.
+//   - Scheduling: every worker pulls from one shared bounded queue, so the
+//     pool is work-conserving — no worker idles while a job waits, and a
+//     budget-bound app occupies one worker instead of stalling the apps
+//     queued behind it.
 //   - Single-flight dedup: concurrent submissions of the same digest run the
 //     analysis once; every submitter receives the one result.
 //   - Short-circuit: with a persistent artifact store attached, a re-submitted
 //     digest is answered from its cached verdict record without running.
 //
-// Each shard worker owns one fork-server Runner (boot once, restore per
-// attempt) wired to the shared artifact store, so static results, assembled
-// library images, and dex validation verdicts flow between shards and across
-// process lifetimes. Backpressure is the shard queue: when a worker falls
-// behind, Submit blocks rather than buffering unboundedly.
+// Each worker owns one fork-server Runner (boot once, restore per attempt)
+// wired to the shared artifact store, so static results, assembled library
+// images, and dex validation verdicts flow between workers and across process
+// lifetimes. Backpressure is the job queue: when the workers fall behind,
+// Submit blocks rather than buffering unboundedly.
 //
 // Results stream: as each submission completes, one JSON line is written to
 // Options.Out (when set) and the submitter's channel is fulfilled. Caching
@@ -31,7 +32,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strings"
 	"sync"
@@ -44,18 +44,18 @@ import (
 
 // Options configures a Service.
 type Options struct {
-	// Workers is the shard count; each shard owns one fork-server Runner.
+	// Workers is the worker count; each worker owns one fork-server Runner.
 	// Defaults to 1.
 	Workers int
-	// QueueDepth bounds each shard's submission queue; a full queue blocks
-	// Submit (backpressure). Defaults to 4.
+	// QueueDepth bounds the shared job queue at QueueDepth jobs per worker;
+	// a full queue blocks Submit (backpressure). Defaults to 4.
 	QueueDepth int
-	// Cache is the persistent artifact store shared by every shard and the
-	// fingerprint stage. Nil runs the service fully in-memory: sharding and
-	// dedup still work, verdict short-circuiting does not.
+	// Cache is the persistent artifact store shared by every worker and the
+	// fingerprint stage. Nil runs the service fully in-memory: dedup still
+	// works, verdict short-circuiting does not.
 	Cache *cas.Store
 	// Analyze is the base analysis configuration applied to every submission.
-	// Its Runner field is owned by the service and overwritten per shard.
+	// Its Runner field is owned by the service and overwritten per worker.
 	Analyze core.AnalyzeOptions
 	// Out, when set, receives one JSON line per completed submission, in
 	// completion order.
@@ -65,13 +65,13 @@ type Options struct {
 // Stats counts pipeline activity since New.
 type Stats struct {
 	Submitted   int // submissions accepted
-	Computed    int // analyses actually run on a shard
+	Computed    int // analyses actually run on a worker
 	VerdictHits int // submissions answered from a cached verdict record
 	Deduped     int // submissions that joined an in-flight twin
 
 	// Runner aggregates fork-server and artifact traffic across the
-	// fingerprint runner and every shard (snapshot resets, static/asm/dex
-	// cache hits, absorbed cache faults). Live shard counters are folded in
+	// fingerprint runner and every worker (snapshot resets, static/asm/dex
+	// cache hits, absorbed cache faults). Live worker counters are folded in
 	// on Close.
 	Runner core.RunnerStats
 }
@@ -82,7 +82,7 @@ type Result struct {
 	Digest string         // content digest (Fingerprint.App)
 	Report core.AppReport // full degradation chain and final outcome
 	Diags  []string       // load-time dex validation diagnostics
-	// Source tells where the verdict came from: "computed" (a shard ran the
+	// Source tells where the verdict came from: "computed" (a worker ran the
 	// analysis), "verdict-cache" (replayed from the artifact store), or
 	// "dedup" (joined a concurrent identical submission).
 	Source string
@@ -108,17 +108,14 @@ type job struct {
 	fl   *flight
 }
 
-type shard struct {
-	queue chan job
-	stats core.RunnerStats
-}
-
 // Service is a running analysis pipeline. Create with New, feed with Submit,
 // drain and stop with Close.
 type Service struct {
-	opts   Options
-	shards []*shard
-	wg     sync.WaitGroup
+	opts Options
+	// queue is the job queue every worker pulls from. Its QueueDepth*Workers
+	// capacity keeps Options.QueueDepth a per-worker backpressure bound.
+	queue chan job
+	wg    sync.WaitGroup // workers
 
 	digestMu sync.Mutex
 	digester *core.Runner // fingerprint + validation stage (serialized)
@@ -126,6 +123,9 @@ type Service struct {
 	flightMu sync.Mutex
 	flights  map[string]*flight
 	closed   bool
+	// submits counts Submits past the closed check; Close waits for them
+	// before closing the queue they may still send on.
+	submits sync.WaitGroup
 
 	outMu sync.Mutex
 
@@ -136,10 +136,13 @@ type Service struct {
 	// its flight and before it checks the verdict cache or enqueues — the
 	// window a concurrent twin submission must land in to exercise dedup.
 	testFlightGap func(digest string)
+	// testWorkerGap, when set (tests only), runs on a worker after it takes a
+	// job and before it analyzes it — blocking there parks that worker.
+	testWorkerGap func(digest string)
 }
 
-// New boots the fingerprint runner and one Runner per shard, all wired to
-// opts.Cache, and starts the shard workers.
+// New boots the fingerprint runner and one Runner per worker, all wired to
+// opts.Cache, and starts the workers.
 func New(opts Options) (*Service, error) {
 	if opts.Workers < 1 {
 		opts.Workers = 1
@@ -155,21 +158,19 @@ func New(opts Options) (*Service, error) {
 		opts:     opts,
 		digester: digester,
 		flights:  make(map[string]*flight),
+		queue:    make(chan job, opts.QueueDepth*opts.Workers),
 	}
+	s.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
-		sh := &shard{queue: make(chan job, opts.QueueDepth)}
-		s.shards = append(s.shards, sh)
-		s.wg.Add(1)
-		go s.shardLoop(sh)
+		go s.worker()
 	}
 	return s, nil
 }
 
 // Submit fingerprints the app and routes it through the pipeline. The
 // returned channel delivers exactly one Result and is then closed. Submit
-// blocks while the target shard's queue is full (backpressure); results are
-// buffered, so submitting an entire corpus before reading any result cannot
-// deadlock.
+// blocks while the job queue is full (backpressure); results are buffered,
+// so submitting an entire corpus before reading any result cannot deadlock.
 func (s *Service) Submit(spec core.AppSpec) <-chan Result {
 	ch := make(chan Result, 1)
 	fail := func(err error) <-chan Result {
@@ -183,7 +184,9 @@ func (s *Service) Submit(spec core.AppSpec) <-chan Result {
 		s.flightMu.Unlock()
 		return fail(fmt.Errorf("service: submit after Close"))
 	}
+	s.submits.Add(1)
 	s.flightMu.Unlock()
+	defer s.submits.Done()
 
 	s.bumpStat(func(st *Stats) { st.Submitted++ })
 
@@ -192,10 +195,10 @@ func (s *Service) Submit(spec core.AppSpec) <-chan Result {
 	s.digestMu.Unlock()
 	if err != nil {
 		// A failing Install is an analyzable outcome, not a pipeline error:
-		// route it to a shard under a synthetic digest and let the
-		// degradation ladder produce the same contained fault report a study
-		// run would. The display name joins the digest here — with no content
-		// to hash there is nothing safe to dedup across names.
+		// queue it under a synthetic digest and let the degradation ladder
+		// produce the same contained fault report a study run would. The
+		// display name joins the digest here — with no content to hash there
+		// is nothing safe to dedup across names.
 		fp = core.Fingerprint{App: cas.DigestStrings(
 			"install-fault", spec.Name, spec.EntryClass, spec.EntryMethod, err.Error())}
 		fp.Static = fp.App
@@ -227,17 +230,20 @@ func (s *Service) Submit(spec core.AppSpec) <-chan Result {
 		return ch
 	}
 
-	s.shards[shardIndex(fp.App, len(s.shards))].queue <- job{spec: spec, fp: fp, fl: fl}
+	s.queue <- job{spec: spec, fp: fp, fl: fl}
 	return ch
 }
 
-// shardLoop is one worker: a fork-server Runner serving its queue in order.
-func (s *Service) shardLoop(sh *shard) {
+// worker is one fork-server Runner serving the shared queue until Close.
+func (s *Service) worker() {
 	defer s.wg.Done()
-	// A failed warm boot degrades the shard to fresh-System attempts; the
+	// A failed warm boot degrades the worker to fresh-System attempts; the
 	// per-attempt path reports any persistent boot fault itself.
 	runner, _ := core.NewCachedRunner(s.opts.Cache)
-	for j := range sh.queue {
+	for j := range s.queue {
+		if hook := s.testWorkerGap; hook != nil {
+			hook(j.fp.App)
+		}
 		aOpts := s.opts.Analyze
 		aOpts.Runner = runner
 		rep := core.AnalyzeApp(j.spec, aOpts)
@@ -246,7 +252,7 @@ func (s *Service) shardLoop(sh *shard) {
 		s.finish(j.fl, rep, "computed")
 	}
 	if runner != nil {
-		sh.stats = runner.Stats
+		s.bumpStat(func(st *Stats) { addRunnerStats(&st.Runner, runner.Stats) })
 	}
 }
 
@@ -272,7 +278,7 @@ func (s *Service) finish(fl *flight, rep core.AppReport, source string) {
 	}
 }
 
-// Close drains the shard queues, stops the workers, and folds their Runner
+// Close drains the job queue, stops the workers, and folds their Runner
 // stats into Stats. Submissions already accepted complete; Submit afterwards
 // fails fast.
 func (s *Service) Close() {
@@ -284,21 +290,14 @@ func (s *Service) Close() {
 	s.closed = true
 	s.flightMu.Unlock()
 
-	for _, sh := range s.shards {
-		close(sh.queue)
-	}
+	s.submits.Wait()
+	close(s.queue)
 	s.wg.Wait()
-
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	addRunnerStats(&s.stats.Runner, s.digester.Stats)
-	for _, sh := range s.shards {
-		addRunnerStats(&s.stats.Runner, sh.stats)
-	}
+	s.bumpStat(func(st *Stats) { addRunnerStats(&st.Runner, s.digester.Stats) })
 }
 
-// Stats snapshots the pipeline counters. Shard Runner counters are folded in
-// by Close; before that, Runner covers only the fingerprint stage.
+// Stats snapshots the pipeline counters. Runner counters — the fingerprint
+// stage's and every worker's — are folded in by Close.
 func (s *Service) Stats() Stats {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
@@ -369,14 +368,6 @@ func (s *Service) emit(res Result) {
 	s.outMu.Lock()
 	s.opts.Out.Write(append(b, '\n'))
 	s.outMu.Unlock()
-}
-
-// shardIndex routes a digest to a shard. Identical content always lands on
-// the same worker, so its in-memory static cache and asm memo stay hot.
-func shardIndex(digest string, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(digest))
-	return int(h.Sum64() % uint64(n))
 }
 
 // --- persistent verdict records ---------------------------------------------
@@ -546,7 +537,7 @@ func decodeLog(text string, lines []string) []string {
 
 // loadVerdict replays a cached verdict record as an AppReport. Any miss —
 // clean, corrupt (evicted and counted), or structurally unresolvable — sends
-// the submission to a shard instead.
+// the submission to a worker instead.
 func (s *Service) loadVerdict(fp core.Fingerprint) (core.AppReport, bool) {
 	if s.opts.Cache == nil {
 		return core.AppReport{}, false

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,10 +225,10 @@ func TestStreamingOutput(t *testing.T) {
 	}
 }
 
-// TestShardRoutingStable: the same digest always routes to the same shard
-// worker, so repeated submissions of one app are served by one Runner's warm
-// caches no matter how many workers exist.
-func TestShardRoutingStable(t *testing.T) {
+// TestResubmissionDigestStable: repeated submissions of one app carry the
+// same digest whichever of several workers serves them, and without a verdict
+// store each one is computed.
+func TestResubmissionDigestStable(t *testing.T) {
 	app := mustApp(t, "benign")
 	svc, err := service.New(service.Options{
 		Workers: 4,
@@ -247,9 +250,170 @@ func TestShardRoutingStable(t *testing.T) {
 		}
 	}
 	svc.Close()
-	// Uncached service: no verdict records, so all three ran — on one shard.
-	// Exactly one worker Runner (plus the fingerprint Runner) did any resets.
+	// Uncached service: no verdict records, so all three ran.
 	if st := svc.Stats(); st.Computed != 3 {
 		t.Fatalf("computed = %d, want 3 (no verdict store attached)", st.Computed)
+	}
+}
+
+// TestHeadOfLineWorkConserving parks one of two workers on a submission and
+// requires ten other submissions to complete meanwhile: a job never waits
+// behind a busy worker while another worker is free.
+func TestHeadOfLineWorkConserving(t *testing.T) {
+	svc, err := service.New(service.Options{
+		Workers: 2,
+		Analyze: core.AnalyzeOptions{Budget: testBudget, FlowLog: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	parked := make(chan string, 1)
+	release := make(chan struct{})
+	var first atomic.Bool
+	svc.SetWorkerGap(func(digest string) {
+		if first.CompareAndSwap(false, true) {
+			parked <- digest
+			<-release
+		}
+	})
+
+	parkedCh := svc.Submit(mustApp(t, "benign").Spec())
+	parkedDigest := <-parked
+
+	var others []core.AppSpec
+	for _, name := range []string{"case1", "qqphonebook", "ephone", "poc-case2", "poc-case3",
+		"case3-pull", "case4", "rebind", "summix", "sumfold"} {
+		others = append(others, mustApp(t, name).Spec())
+	}
+	done := make(chan []service.Result, 1)
+	go func() {
+		var chans []<-chan service.Result
+		for _, spec := range others {
+			chans = append(chans, svc.Submit(spec))
+		}
+		var results []service.Result
+		for _, ch := range chans {
+			results = append(results, <-ch)
+		}
+		done <- results
+	}()
+	select {
+	case results := <-done:
+		for _, res := range results {
+			if res.Err != nil || res.Source != "computed" {
+				t.Errorf("%s: err=%v source=%q, want a computed result", res.Name, res.Err, res.Source)
+			}
+			if res.Digest == parkedDigest {
+				t.Errorf("%s shares the parked submission's digest", res.Name)
+			}
+		}
+	case <-time.After(30 * time.Second):
+		close(release)
+		t.Fatal("submissions stalled behind the parked worker while the other worker was free")
+	}
+	if st := svc.Stats(); st.Computed != len(others) {
+		t.Errorf("computed = %d while parked, want %d", st.Computed, len(others))
+	}
+
+	close(release)
+	res := <-parkedCh
+	if res.Err != nil || res.Source != "computed" || res.Digest != parkedDigest {
+		t.Errorf("parked submission: err=%v source=%q digest match=%t", res.Err, res.Source, res.Digest == parkedDigest)
+	}
+	svc.Close()
+	if st := svc.Stats(); st.Computed != len(others)+1 || st.Submitted != len(others)+1 {
+		t.Errorf("stats = %+v, want %d submitted and computed", st, len(others)+1)
+	}
+}
+
+// TestSubmitCloseRace closes the service while many goroutines submit. No
+// Submit may panic on the closed queue, and every returned channel delivers
+// exactly one Result: an analysis outcome or a "submit after Close" error.
+func TestSubmitCloseRace(t *testing.T) {
+	svc, err := service.New(service.Options{
+		Workers:    2,
+		QueueDepth: 1,
+		Analyze:    core.AnalyzeOptions{Budget: testBudget},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"case1", "benign", "case4", "summix", "ephone", "sumfold"}
+	const n = 32
+	specs := make([]core.AppSpec, n)
+	for i := range specs {
+		specs[i] = mustApp(t, names[i%len(names)]).Spec()
+	}
+	chans := make([]<-chan service.Result, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			chans[i] = svc.Submit(specs[i])
+		}(i)
+	}
+	close(start)
+	// Close once a few submissions are in: the rest are mid-fingerprint,
+	// blocked on a full queue, or not yet at the closed check.
+	waitFor(t, "submissions to start", func() bool { return svc.Stats().Submitted >= 4 })
+	svc.Close()
+	wg.Wait()
+
+	refused := 0
+	for i, ch := range chans {
+		res, ok := <-ch
+		if !ok {
+			t.Fatalf("submission %d: channel closed without a Result", i)
+		}
+		if _, more := <-ch; more {
+			t.Fatalf("submission %d: channel delivered a second Result", i)
+		}
+		switch {
+		case res.Err != nil && strings.Contains(res.Err.Error(), "submit after Close"):
+			refused++
+		case res.Err != nil:
+			t.Errorf("submission %d: %v", i, res.Err)
+		case res.Source != "computed" && res.Source != "dedup":
+			t.Errorf("submission %d: source %q", i, res.Source)
+		}
+	}
+	st := svc.Stats()
+	if st.Submitted+refused != n || st.Computed+st.Deduped != st.Submitted {
+		t.Errorf("stats = %+v with %d refused, want submitted+refused = %d and computed+deduped = submitted", st, refused, n)
+	}
+}
+
+// TestVerdictKeyCoversEveryOption: every analysis option except the Runner
+// changes the verdict key. An option the key forgets would let a service
+// replay a verdict recorded under a different configuration.
+func TestVerdictKeyCoversEveryOption(t *testing.T) {
+	fp := core.Fingerprint{App: "app-digest"}
+	base := service.VerdictKey(fp, core.AnalyzeOptions{})
+	typ := reflect.TypeOf(core.AnalyzeOptions{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "Runner" {
+			continue
+		}
+		var o core.AnalyzeOptions
+		v := reflect.ValueOf(&o).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(1)
+		default:
+			t.Fatalf("AnalyzeOptions.%s has kind %s; teach this test a non-zero value for it", f.Name, v.Kind())
+		}
+		if service.VerdictKey(fp, o) == base {
+			t.Errorf("setting AnalyzeOptions.%s leaves the verdict key unchanged", f.Name)
+		}
 	}
 }
