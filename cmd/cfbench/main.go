@@ -1,30 +1,24 @@
 // Command cfbench reproduces the paper's Fig. 10: it runs the CF-Bench-style
 // workload suite under the analysis modes and prints the per-row overhead
 // table (vanilla score plus the slowdown factor of each instrumented mode).
+// It then runs every ablation of the cfbench harness (snapshot, fuse, cache,
+// surface, summaries) and exits nonzero if any arm breaks verdict/flow-log
+// parity with its baseline or fails its ablation's gate.
 //
 // Usage:
 //
-//	cfbench                       # full-size run, all four modes
-//	cfbench -scale 10             # quick run
-//	cfbench -repeats 3            # best-of-3 per cell
+//	cfbench                        # full-size run, all four modes, every ablation
+//	cfbench -scale 10              # quick run
+//	cfbench -repeats 3             # best-of-3 per cell (and snapshot ablation passes)
 //	cfbench -json BENCH_fig10.json # also write machine-readable results
-//	cfbench -java-ablation        # Java rows, translation engine on vs off
-//	cfbench -snapshot both        # fresh vs fork-server throughput ablation
-//	cfbench -snapshot on          # snapshot arm only (off: fresh arm only)
-//	cfbench -fuse both            # trace-fusion crossing ablation, both arms
-//	cfbench -fuse on              # fused arm only (off: unfused arm only)
-//	cfbench -cache both           # service cache ablation: uncached + cold/warm/sharedlib
-//	cfbench -cache on             # cached arms only (off: uncached arm only)
-//	cfbench -cache-dir DIR        # persist the ablation store instead of a temp dir
-//	cfbench -surface both         # JNI surface-observer ablation + RASP flood leg
-//	cfbench -surface on           # observed arm only (off: unobserved arm only)
-//	cfbench -summaries sweep      # native taint-summary ablation (off/static/validated)
+//	cfbench -java-ablation         # Java rows only, translation engine on vs off
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cfbench"
 	"repro/internal/core"
@@ -35,13 +29,6 @@ func main() {
 	repeats := flag.Int("repeats", 3, "measurements per cell (best kept)")
 	jsonPath := flag.String("json", "", "write results as JSON to this file (e.g. BENCH_fig10.json)")
 	javaAblation := flag.Bool("java-ablation", false, "run only the Java rows, translation engine on vs off")
-	snapshot := flag.String("snapshot", "both", "throughput ablation arms: both, on, off, or none")
-	snapRounds := flag.Int("snapshot-rounds", 3, "corpus sweeps per throughput arm")
-	fuse := flag.String("fuse", "both", "trace-fusion ablation arms: both, on, off, or none")
-	cache := flag.String("cache", "both", "service cache ablation arms: both, on, off, or none")
-	cacheDir := flag.String("cache-dir", "", "artifact store directory for -cache (default: a temp dir)")
-	surfaceArms := flag.String("surface", "both", "JNI surface-observer ablation arms: both, on, off, or none")
-	summaries := flag.String("summaries", "sweep", "native taint-summary ablation (runs off/static/validated arms): sweep or none")
 	flag.Parse()
 
 	if *javaAblation {
@@ -66,101 +53,10 @@ func main() {
 	res.Pins = pins
 	fmt.Println("Static pin precision:")
 	fmt.Println(cfbench.PinReport(pins))
-	parityFailed := false
-	if *snapshot != "none" {
-		withFresh := *snapshot == "both" || *snapshot == "off"
-		withSnap := *snapshot == "both" || *snapshot == "on"
-		if !withFresh && !withSnap {
-			fmt.Fprintf(os.Stderr, "cfbench: bad -snapshot value %q (both, on, off, none)\n", *snapshot)
-			os.Exit(2)
-		}
-		tp, err := cfbench.ThroughputSweep(0, *snapRounds, withFresh, withSnap)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfbench:", err)
-			os.Exit(1)
-		}
-		res.Throughput = tp
-		fmt.Println("Corpus throughput (snapshot ablation):")
-		fmt.Println(tp.String())
-		parityFailed = !tp.ParityOK
-	}
-	if *fuse != "none" {
-		withOn := *fuse == "both" || *fuse == "on"
-		withOff := *fuse == "both" || *fuse == "off"
-		if !withOn && !withOff {
-			fmt.Fprintf(os.Stderr, "cfbench: bad -fuse value %q (both, on, off, none)\n", *fuse)
-			os.Exit(2)
-		}
-		fs, err := cfbench.FuseSweep(0, withOn, withOff)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfbench:", err)
-			os.Exit(1)
-		}
-		res.Fuse = fs
-		fmt.Println("Crossing ablation (trace fusion):")
-		fmt.Println(fs.String())
-		if !fs.ParityOK {
-			parityFailed = true
-			fmt.Fprintln(os.Stderr, "cfbench: fused/unfused parity mismatch:", fs.ParityDetail)
-		}
-	}
-	if *cache != "none" {
-		withOff := *cache == "both" || *cache == "off"
-		withOn := *cache == "both" || *cache == "on"
-		if !withOff && !withOn {
-			fmt.Fprintf(os.Stderr, "cfbench: bad -cache value %q (both, on, off, none)\n", *cache)
-			os.Exit(2)
-		}
-		cs, err := cfbench.CacheSweep(0, withOff, withOn, *cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfbench:", err)
-			os.Exit(1)
-		}
-		res.Cache = cs
-		fmt.Println("Cache ablation (analysis service):")
-		fmt.Println(cs.String())
-		if !cs.ParityOK {
-			parityFailed = true
-			fmt.Fprintln(os.Stderr, "cfbench: cache-regime parity mismatch:", cs.ParityDetail)
-		}
-	}
-	if *surfaceArms != "none" {
-		withOn := *surfaceArms == "both" || *surfaceArms == "on"
-		withOff := *surfaceArms == "both" || *surfaceArms == "off"
-		if !withOn && !withOff {
-			fmt.Fprintf(os.Stderr, "cfbench: bad -surface value %q (both, on, off, none)\n", *surfaceArms)
-			os.Exit(2)
-		}
-		ss, err := cfbench.SurfaceSweep(0, withOn, withOff)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfbench:", err)
-			os.Exit(1)
-		}
-		res.Surface = ss
-		fmt.Println("JNI surface-observer ablation:")
-		fmt.Println(ss.String())
-		if !ss.ParityOK {
-			parityFailed = true
-			fmt.Fprintln(os.Stderr, "cfbench: surface observer parity mismatch:", ss.ParityDetail)
-		}
-	}
-	if *summaries != "none" {
-		if *summaries != "sweep" {
-			fmt.Fprintf(os.Stderr, "cfbench: bad -summaries value %q (sweep or none)\n", *summaries)
-			os.Exit(2)
-		}
-		sm, err := cfbench.SummarySweep(0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfbench:", err)
-			os.Exit(1)
-		}
-		res.Summary = sm
-		fmt.Println("Native taint-summary ablation:")
-		fmt.Println(sm.String())
-		if !sm.ParityOK {
-			parityFailed = true
-			fmt.Fprintln(os.Stderr, "cfbench: summary ablation parity mismatch:", sm.ParityDetail)
-		}
+	failed, err := runAblations(res, *repeats)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cfbench:", err)
+		os.Exit(1)
 	}
 	if *jsonPath != "" {
 		data, err := res.JSON()
@@ -177,24 +73,38 @@ func main() {
 	fmt.Println("Paper reference (Fig. 10): NDroid overall 5.45x vs vanilla; DroidScope >= 11x.")
 	fmt.Println("Absolute factors compress on this substrate (interpreter baseline vs QEMU-")
 	fmt.Println("translated code); the orderings are the reproduced result — see EXPERIMENTS.md.")
-	if parityFailed {
-		if res.Throughput != nil && !res.Throughput.ParityOK {
-			fmt.Fprintln(os.Stderr, "cfbench: snapshot/fresh parity mismatch:", res.Throughput.ParityDetail)
-		}
-		if res.Fuse != nil && !res.Fuse.ParityOK {
-			fmt.Fprintln(os.Stderr, "cfbench: fused/unfused parity mismatch:", res.Fuse.ParityDetail)
-		}
-		if res.Cache != nil && !res.Cache.ParityOK {
-			fmt.Fprintln(os.Stderr, "cfbench: cache-regime parity mismatch:", res.Cache.ParityDetail)
-		}
-		if res.Surface != nil && !res.Surface.ParityOK {
-			fmt.Fprintln(os.Stderr, "cfbench: surface observer parity mismatch:", res.Surface.ParityDetail)
-		}
-		if res.Summary != nil && !res.Summary.ParityOK {
-			fmt.Fprintln(os.Stderr, "cfbench: summary ablation parity mismatch:", res.Summary.ParityDetail)
-		}
+	if len(failed) > 0 {
+		fmt.Fprintln(os.Stderr, "cfbench: ablations failed (see above):", strings.Join(failed, ", "))
 		os.Exit(1)
 	}
+}
+
+// runAblations runs every ablation with its cache store in a temporary
+// directory, prints each result, and appends it to res. It returns the names
+// of the ablations that failed parity or their gate.
+func runAblations(res *cfbench.Result, repeats int) ([]string, error) {
+	dir, err := os.MkdirTemp("", "ndroid-cas-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	abls, err := cfbench.Ablations(0, repeats, dir)
+	if err != nil {
+		return nil, err
+	}
+	var failed []string
+	for _, a := range abls {
+		r, err := a.Run()
+		if err != nil {
+			return nil, err
+		}
+		res.Ablations = append(res.Ablations, r)
+		fmt.Printf("Ablation %s:\n%s\n", r.Name, r)
+		if !r.ParityOK || !r.GateOK {
+			failed = append(failed, r.Name)
+		}
+	}
+	return failed, nil
 }
 
 // runJavaAblation measures every Java row under vanilla and NDroid with the

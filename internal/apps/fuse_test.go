@@ -10,39 +10,6 @@ import (
 	"repro/internal/static"
 )
 
-func outcomeOf(r core.AppReport) appOutcome {
-	return appOutcome{
-		verdict: r.Verdict(),
-		log:     strings.Join(r.Final.Result.LogLines, "\n"),
-	}
-}
-
-// TestFusionParityAllAppsAllModes is the fusion soundness contract: for every
-// corpus app (including the hostile set and the RegisterNatives re-binder)
-// under every mode, a run with trace fusion produces a byte-identical flow log
-// and verdict versus a run with every crossing on the unfused bridge.
-func TestFusionParityAllAppsAllModes(t *testing.T) {
-	for _, app := range apps.AllApps() {
-		for _, mode := range allModes {
-			app, mode := app, mode
-			t.Run(app.Name+"/"+mode.String(), func(t *testing.T) {
-				base := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-					Mode: mode, Budget: testBudget, FlowLog: true, Fuse: core.FuseOff,
-				})
-				fused := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-					Mode: mode, Budget: testBudget, FlowLog: true, Fuse: core.FuseOn,
-				})
-				if got, want := outcomeOf(fused), outcomeOf(base); got.verdict != want.verdict {
-					t.Errorf("verdict: fused %v, unfused %v", got.verdict, want.verdict)
-				} else if got.log != want.log {
-					t.Errorf("flow log diverged fused vs unfused:\n--- unfused ---\n%s\n--- fused ---\n%s",
-						want.log, got.log)
-				}
-			})
-		}
-	}
-}
-
 // TestFusionParityWithStaticSeeds repeats the parity check with the static
 // pre-analysis seeding fusion candidates (chains then build on the first
 // crossing instead of at the heat threshold), which shifts every build point.

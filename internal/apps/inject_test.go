@@ -2,7 +2,6 @@ package apps_test
 
 import (
 	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -12,22 +11,12 @@ import (
 	"repro/internal/surface"
 )
 
-// appOutcome is the comparison unit for injection parity: the final verdict
-// plus the final attempt's flow log, byte for byte.
-type appOutcome struct {
-	verdict core.Verdict
-	log     string
-}
-
 // studyOutcomes sweeps the full corpus and captures each app's outcome.
 func studyOutcomes() map[string]appOutcome {
 	out := map[string]appOutcome{}
 	rep := apps.RunStudy(apps.StudyOptions{Budget: testBudget, FlowLog: true})
 	for _, row := range rep.Rows {
-		out[row.App.Name] = appOutcome{
-			verdict: row.Report.Verdict(),
-			log:     strings.Join(row.Report.Final.Result.LogLines, "\n"),
-		}
+		out[row.App.Name] = outcomeOf(row.Report)
 	}
 	return out
 }
@@ -271,10 +260,7 @@ func TestInjectionParity(t *testing.T) {
 						absorbed++
 						continue
 					}
-					want, got := base[row.App.Name], appOutcome{
-						verdict: row.Report.Verdict(),
-						log:     strings.Join(row.Report.Final.Result.LogLines, "\n"),
-					}
+					want, got := base[row.App.Name], outcomeOf(row.Report)
 					if got.verdict != want.verdict {
 						t.Errorf("%s: verdict %v, baseline %v", row.App.Name, got.verdict, want.verdict)
 					}

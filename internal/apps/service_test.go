@@ -1,7 +1,6 @@
 package apps_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -9,13 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/static"
 )
-
-func rowOutcome(row apps.StudyRow) appOutcome {
-	return appOutcome{
-		verdict: row.Report.Verdict(),
-		log:     strings.Join(row.Report.Final.Result.LogLines, "\n"),
-	}
-}
 
 // TestServiceParity is the service-mode isolation proof: the full corpus
 // (benign + hostile), swept under every analysis mode, must produce
@@ -54,7 +46,7 @@ func TestServiceParity(t *testing.T) {
 					if row.App.Name != bRow.App.Name {
 						t.Fatalf("%s: row %d is %s, baseline %s", name, i, row.App.Name, bRow.App.Name)
 					}
-					got, want := rowOutcome(row), rowOutcome(bRow)
+					got, want := outcomeOf(row.Report), outcomeOf(bRow.Report)
 					if got.verdict != want.verdict {
 						t.Errorf("%s: %s verdict %v, baseline %v", name, row.App.Name, got.verdict, want.verdict)
 					}

@@ -9,10 +9,6 @@ import (
 	"repro/internal/static"
 )
 
-func logOf(r core.AppReport) string {
-	return strings.Join(r.Final.Result.LogLines, "\n")
-}
-
 // TestSnapshotParity is the fork-server soundness gate (same discipline as
 // the PR 2 gate and PR 5 pin parity suites): for every app in the registry —
 // benign and hostile — and every analysis mode, an attempt served from a
@@ -41,7 +37,7 @@ func TestSnapshotParity(t *testing.T) {
 				if fresh.ChainString() != snap.ChainString() {
 					t.Errorf("%s: chain fresh=[%s] snapshot=[%s]", app.Name, fresh.ChainString(), snap.ChainString())
 				}
-				fl, sl := logOf(fresh), logOf(snap)
+				fl, sl := outcomeOf(fresh).log, outcomeOf(snap).log
 				if fl != sl {
 					line := firstDiffLine(fl, sl)
 					t.Errorf("%s: flow log diverged at %q", app.Name, line)
@@ -89,7 +85,7 @@ func TestSnapshotParityWithPins(t *testing.T) {
 		if r.Verdict() != fresh.Verdict() {
 			t.Errorf("run %d: verdict %v, fresh %v", i, r.Verdict(), fresh.Verdict())
 		}
-		if logOf(r) != logOf(fresh) {
+		if outcomeOf(r).log != outcomeOf(fresh).log {
 			t.Errorf("run %d: flow log diverged from fresh pin run", i)
 		}
 		if len(r.Final.Result.StaticViolations) != 0 {
@@ -160,7 +156,7 @@ func TestRunStudyParallelDeterminism(t *testing.T) {
 		if s.Report.Verdict() != p.Report.Verdict() {
 			t.Errorf("%s: verdict %v vs %v", s.App.Name, s.Report.Verdict(), p.Report.Verdict())
 		}
-		if logOf(s.Report) != logOf(p.Report) {
+		if outcomeOf(s.Report).log != outcomeOf(p.Report).log {
 			t.Errorf("%s: parallel snapshot flow log diverged", s.App.Name)
 		}
 	}

@@ -15,35 +15,6 @@ var allModes = []core.Mode{
 	core.ModeVanilla, core.ModeTaintDroid, core.ModeNDroid, core.ModeDroidScope,
 }
 
-// TestStaticPinFlowLogParity is the headline soundness check for the pin
-// level: for every corpus app and every mode, running with pins applied must
-// produce a byte-identical flow log to running without the pre-analysis.
-// Pins may only change which translation variant executes, never what the
-// taint engine observes.
-func TestStaticPinFlowLogParity(t *testing.T) {
-	for _, app := range apps.AllApps() {
-		for _, mode := range allModes {
-			app, mode := app, mode
-			t.Run(app.Name+"/"+mode.String(), func(t *testing.T) {
-				base := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-					Mode: mode, Budget: testBudget, FlowLog: true,
-				})
-				pinned := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-					Mode: mode, Budget: testBudget, FlowLog: true, Static: static.PinLevel,
-				})
-				if base.Verdict() != pinned.Verdict() {
-					t.Fatalf("verdict changed under pins: %v vs %v", base.Verdict(), pinned.Verdict())
-				}
-				b := strings.Join(base.Final.Result.LogLines, "\n")
-				p := strings.Join(pinned.Final.Result.LogLines, "\n")
-				if b != p {
-					t.Fatalf("flow log changed under pins:\n--- off ---\n%s\n--- pin ---\n%s", b, p)
-				}
-			})
-		}
-	}
-}
-
 // TestStaticCrossValidation asserts the pre-analysis is a sound
 // over-approximation of the dynamic runs: every flow-log event of every
 // corpus app, in every mode, must lie inside the static reach sets.

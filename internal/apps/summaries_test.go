@@ -9,57 +9,6 @@ import (
 	"repro/internal/core"
 )
 
-// summaryModes are the three settings of the -summaries flag; off is the
-// baseline the other two must match byte for byte (with the one documented
-// hostile-sumdodge static-tier exception).
-var summaryModes = []core.SummaryMode{core.SummaryStatic, core.SummaryValidated}
-
-// sumdodgeStaticDiverges marks the one corpus/mode/setting cell where flow
-// logs are ALLOWED (and required) to differ: hostile-sumdodge's native taint
-// transfer depends on its argument's value, so the unvalidated static
-// summary over-taints a tainted-zero call and fires a spurious early leak.
-// Summaries only activate under NDroid; every other mode is dead parity.
-func sumdodgeStaticDiverges(app *apps.App, mode core.Mode, sm core.SummaryMode) bool {
-	return app.Name == "hostile-sumdodge" && mode == core.ModeNDroid && sm == core.SummaryStatic
-}
-
-// TestSummaryParityAllAppsAllModes is the summary soundness contract: for
-// every corpus app (benign + hostile) under every analysis mode, runs with
-// -summaries=static and -summaries=validated produce byte-identical flow
-// logs and verdicts versus -summaries=off — except the documented
-// hostile-sumdodge static-tier cell, where the divergence must actually
-// occur (otherwise the hostile app is not doing its job).
-func TestSummaryParityAllAppsAllModes(t *testing.T) {
-	for _, app := range apps.AllApps() {
-		for _, mode := range allModes {
-			app, mode := app, mode
-			t.Run(app.Name+"/"+mode.String(), func(t *testing.T) {
-				base := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-					Mode: mode, Budget: testBudget, FlowLog: true,
-				})
-				want := outcomeOf(base)
-				for _, sm := range summaryModes {
-					got := outcomeOf(core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-						Mode: mode, Budget: testBudget, FlowLog: true, Summaries: sm,
-					}))
-					if sumdodgeStaticDiverges(app, mode, sm) {
-						if got.log == want.log {
-							t.Errorf("%v: hostile-sumdodge failed to defeat the static tier (logs identical)", sm)
-						}
-						continue
-					}
-					if got.verdict != want.verdict {
-						t.Errorf("%v: verdict %v, baseline %v", sm, got.verdict, want.verdict)
-					} else if got.log != want.log {
-						t.Errorf("%v: flow log diverged:\n--- off ---\n%s\n--- %v ---\n%s",
-							sm, want.log, sm, got.log)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestSumdodgeValidationRejects pins the mutation-validation mechanics on
 // the hostile app: under -summaries=validated the candidate summary for
 // Java_gate is rejected at the first crossing (the zero-mutation run
@@ -206,18 +155,12 @@ func TestSummaryParityUnderRunner(t *testing.T) {
 func TestSummaryParityParallelAndService(t *testing.T) {
 	base := map[string]appOutcome{}
 	for _, row := range apps.RunStudy(apps.StudyOptions{Budget: testBudget, FlowLog: true}).Rows {
-		base[row.App.Name] = appOutcome{
-			verdict: row.Report.Verdict(),
-			log:     strings.Join(row.Report.Final.Result.LogLines, "\n"),
-		}
+		base[row.App.Name] = outcomeOf(row.Report)
 	}
 	check := func(t *testing.T, rep *apps.StudyReport, leg string) {
 		t.Helper()
 		for _, row := range rep.Rows {
-			got := appOutcome{
-				verdict: row.Report.Verdict(),
-				log:     strings.Join(row.Report.Final.Result.LogLines, "\n"),
-			}
+			got := outcomeOf(row.Report)
 			want := base[row.App.Name]
 			if got.verdict != want.verdict {
 				t.Errorf("%s/%s: verdict %v, baseline %v", leg, row.App.Name, got.verdict, want.verdict)

@@ -7,7 +7,6 @@ package apps_test
 // under hostile flooding, and it must never perturb verdicts or flow logs.
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -80,7 +79,7 @@ func TestRaspFloodBoundedUnderThrottling(t *testing.T) {
 	if off.Final.Result.Surface != nil {
 		t.Error("SurfaceOff run still produced a map")
 	}
-	if joinLines(off) != joinLines(r) || off.Verdict() != r.Verdict() {
+	if outcomeOf(off).log != outcomeOf(r).log || off.Verdict() != r.Verdict() {
 		t.Error("observer ablation changed the flow log or verdict")
 	}
 }
@@ -189,10 +188,6 @@ func surfaceBytes(t *testing.T, rep core.AppReport) string {
 	return string(m.Bytes())
 }
 
-func joinLines(rep core.AppReport) string {
-	return strings.Join(rep.Final.Result.LogLines, "\n")
-}
-
 // TestSurfaceMapFuseParity: fused and unfused execution discover the same
 // boundaries with the same counts, byte for byte, for every corpus app.
 func TestSurfaceMapFuseParity(t *testing.T) {
@@ -281,7 +276,7 @@ func TestSurfaceMapServiceReplay(t *testing.T) {
 		if got, want := surfaceBytes(t, warm.Rows[i].Report), surfaceBytes(t, cold.Rows[i].Report); got != want {
 			t.Errorf("%s: replayed surface map differs from computed:\ncomputed: %s\nreplayed: %s", name, want, got)
 		}
-		if got, want := joinLines(warm.Rows[i].Report), joinLines(cold.Rows[i].Report); got != want {
+		if got, want := outcomeOf(warm.Rows[i].Report).log, outcomeOf(cold.Rows[i].Report).log; got != want {
 			t.Errorf("%s: replayed flow log differs from computed", name)
 		}
 	}
@@ -336,7 +331,7 @@ func TestSurfaceInjectionMatrixRow(t *testing.T) {
 		t.Errorf("verdicts = %v/%v, want leak/leak (injection must stay absorbed)",
 			cold.Report.Verdict(), warm.Report.Verdict())
 	}
-	if joinLines(cold.Report) != joinLines(warm.Report) {
+	if outcomeOf(cold.Report).log != outcomeOf(warm.Report).log {
 		t.Error("flow logs diverge between injected computed run and warm replay")
 	}
 }
